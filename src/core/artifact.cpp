@@ -653,7 +653,12 @@ ShardedManifest::fromBytes(const std::string &bytes)
         for (uint64_t i = 0; i < count; ++i) {
             ManifestShard s;
             s.file = r.str();
-            if (s.file.empty()) r.fail("empty shard filename");
+            // Shard names are joined onto the manifest's directory, so
+            // anything but a plain basename could escape it.
+            if (s.file.empty() || s.file == "." || s.file == ".." ||
+                s.file.find_first_of("/\\") != std::string::npos ||
+                s.file.find('\0') != std::string::npos)
+                r.fail("shard filename is not a plain basename");
             s.bytes = r.u64();
             const uint64_t crc = r.u64();
             if (crc > 0xffffffffull)

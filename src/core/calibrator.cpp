@@ -12,15 +12,8 @@ namespace ant {
 
 Observer::Observer(ObserverConfig cfg) : cfg_(cfg)
 {
-    if (cfg_.binsPerOctave < 1)
-        throw std::invalid_argument(
-            "ObserverConfig.binsPerOctave: must be >= 1");
-    if (cfg_.minExp >= cfg_.maxExp)
-        throw std::invalid_argument(
-            "ObserverConfig: minExp must be < maxExp");
-    const size_t nbins =
-        static_cast<size_t>(cfg_.maxExp - cfg_.minExp + 1) *
-        static_cast<size_t>(cfg_.binsPerOctave);
+    const size_t nbins = static_cast<size_t>(kMaxExp - kMinExp + 1) *
+                         static_cast<size_t>(kBinsPerOctave);
     cnt_.assign(nbins, 0.0);
     sum_.assign(nbins, 0.0);
     sumsq_.assign(nbins, 0.0);
@@ -34,14 +27,14 @@ Observer::binOf(double v) const
     int e;
     const double f = std::frexp(v, &e);
     const int octave = e - 1;
-    if (octave < cfg_.minExp) return 0;
-    if (octave > cfg_.maxExp) return bins() - 1;
+    if (octave < kMinExp) return 0;
+    if (octave > kMaxExp) return bins() - 1;
     const int sub = std::min(
-        cfg_.binsPerOctave - 1,
+        kBinsPerOctave - 1,
         static_cast<int>((2.0 * f - 1.0) *
-                         static_cast<double>(cfg_.binsPerOctave)));
-    return static_cast<size_t>(octave - cfg_.minExp) *
-               static_cast<size_t>(cfg_.binsPerOctave) +
+                         static_cast<double>(kBinsPerOctave)));
+    return static_cast<size_t>(octave - kMinExp) *
+               static_cast<size_t>(kBinsPerOctave) +
            static_cast<size_t>(sub);
 }
 
@@ -58,13 +51,13 @@ Observer::thresholdPos(double t) const
     int e;
     const double f = std::frexp(t, &e);
     const int octave = e - 1;
-    if (octave < cfg_.minExp) return 0.0;
-    if (octave > cfg_.maxExp) return static_cast<double>(bins());
-    const double sub = std::min(
-        static_cast<double>(cfg_.binsPerOctave),
-        (2.0 * f - 1.0) * static_cast<double>(cfg_.binsPerOctave));
-    return static_cast<double>(octave - cfg_.minExp) *
-               static_cast<double>(cfg_.binsPerOctave) +
+    if (octave < kMinExp) return 0.0;
+    if (octave > kMaxExp) return static_cast<double>(bins());
+    const double sub =
+        std::min(static_cast<double>(kBinsPerOctave),
+                 (2.0 * f - 1.0) * static_cast<double>(kBinsPerOctave));
+    return static_cast<double>(octave - kMinExp) *
+               static_cast<double>(kBinsPerOctave) +
            sub;
 }
 
@@ -103,39 +96,6 @@ Observer::observe(const Tensor &t)
 }
 
 void
-Observer::observe(const Tensor &t, int channel_dim)
-{
-    if (channel_dim < 0 || channel_dim >= t.ndim())
-        throw std::invalid_argument(
-            "Observer::observe: channel_dim out of range");
-    const int64_t channels = t.dim(channel_dim);
-    if (chanAmax_.empty())
-        chanAmax_.assign(static_cast<size_t>(channels), 0.0);
-    else if (static_cast<int64_t>(chanAmax_.size()) != channels)
-        throw std::invalid_argument(
-            "Observer::observe: channel count changed between batches");
-
-    // Row-major: index = (outer * channels + c) * inner + j.
-    int64_t inner = 1;
-    for (int d = channel_dim + 1; d < t.ndim(); ++d) inner *= t.dim(d);
-    const int64_t outer = t.numel() / (channels * inner);
-    for (int64_t o = 0; o < outer; ++o)
-        for (int64_t c = 0; c < channels; ++c) {
-            const float *p = t.data() + (o * channels + c) * inner;
-            double m = chanAmax_[static_cast<size_t>(c)];
-            for (int64_t j = 0; j < inner; ++j) {
-                const double v =
-                    cfg_.isSigned
-                        ? std::fabs(static_cast<double>(p[j]))
-                        : std::max(0.0, static_cast<double>(p[j]));
-                m = std::max(m, v);
-            }
-            chanAmax_[static_cast<size_t>(c)] = m;
-        }
-    observe(t.data(), t.numel());
-}
-
-void
 Observer::reset()
 {
     n_ = 0;
@@ -144,19 +104,15 @@ Observer::reset()
     std::fill(cnt_.begin(), cnt_.end(), 0.0);
     std::fill(sum_.begin(), sum_.end(), 0.0);
     std::fill(sumsq_.begin(), sumsq_.end(), 0.0);
-    chanAmax_.clear();
     prefixDirty_ = true;
 }
 
 void
 Observer::merge(const Observer &other)
 {
-    if (cfg_.isSigned != other.cfg_.isSigned ||
-        cfg_.binsPerOctave != other.cfg_.binsPerOctave ||
-        cfg_.minExp != other.cfg_.minExp ||
-        cfg_.maxExp != other.cfg_.maxExp)
+    if (cfg_.isSigned != other.cfg_.isSigned)
         throw std::invalid_argument(
-            "Observer::merge: mismatched ObserverConfig");
+            "Observer::merge: mismatched signedness");
     n_ += other.n_;
     amax_ = std::max(amax_, other.amax_);
     constErr_ += other.constErr_;
@@ -164,17 +120,6 @@ Observer::merge(const Observer &other)
         cnt_[b] += other.cnt_[b];
         sum_[b] += other.sum_[b];
         sumsq_[b] += other.sumsq_[b];
-    }
-    if (!other.chanAmax_.empty()) {
-        if (chanAmax_.empty())
-            chanAmax_ = other.chanAmax_;
-        else if (chanAmax_.size() != other.chanAmax_.size())
-            throw std::invalid_argument(
-                "Observer::merge: mismatched channel counts");
-        else
-            for (size_t c = 0; c < chanAmax_.size(); ++c)
-                chanAmax_[c] = std::max(chanAmax_[c],
-                                        other.chanAmax_[c]);
     }
     prefixDirty_ = true;
 }
@@ -347,15 +292,12 @@ GroupObserver::merge(const GroupObserver &other)
     if (gs_ != other.gs_)
         throw std::invalid_argument(
             "GroupObserver::merge: mismatched group size");
-    // Config equality is a precondition on every branch — including
+    // Signedness equality is a precondition on every branch — including
     // the empty-side adoption below, where the per-sketch
     // Observer::merge check would otherwise never run.
-    if (cfg_.isSigned != other.cfg_.isSigned ||
-        cfg_.binsPerOctave != other.cfg_.binsPerOctave ||
-        cfg_.minExp != other.cfg_.minExp ||
-        cfg_.maxExp != other.cfg_.maxExp)
+    if (cfg_.isSigned != other.cfg_.isSigned)
         throw std::invalid_argument(
-            "GroupObserver::merge: mismatched ObserverConfig");
+            "GroupObserver::merge: mismatched signedness");
     if (other.dim_ == 0) return; // nothing observed on the other side
     if (dim_ == 0) {
         dim_ = other.dim_;
@@ -407,19 +349,19 @@ GroupObserver::searchScales(const NumericType &type,
     return s;
 }
 
-namespace {
-
-/**
- * Shared Algorithm-2-over-group-sketches engine: GroupObserver (groups
- * tile the feature axis) and TimeGroupObserver (groups tile the
- * timestep axis) differ only in how rows land in sketches, so both
- * selectType queries reduce to this sweep over an Observer list.
- */
 GroupObserverSelection
-selectTypeOverSketches(const std::vector<Observer> &obs_, int64_t gs_,
-                       const std::vector<TypePtr> &candidates,
-                       const QuantConfig &base_cfg, GroupTypeMode mode)
+GroupObserver::selectType(const std::vector<TypePtr> &candidates,
+                          const QuantConfig &base_cfg,
+                          GroupTypeMode mode) const
 {
+    if (candidates.empty())
+        throw std::invalid_argument(
+            "GroupObserver::selectType: empty candidate list");
+    base_cfg.validate(/*require_type=*/false);
+    if (dim_ == 0)
+        throw std::logic_error(
+            "GroupObserver::selectType: nothing observed");
+
     const size_t ng = obs_.size();
     GroupObserverSelection sel;
     sel.groupSize = gs_;
@@ -490,23 +432,6 @@ selectTypeOverSketches(const std::vector<Observer> &obs_, int64_t gs_,
     return sel;
 }
 
-} // namespace
-
-GroupObserverSelection
-GroupObserver::selectType(const std::vector<TypePtr> &candidates,
-                          const QuantConfig &base_cfg,
-                          GroupTypeMode mode) const
-{
-    if (candidates.empty())
-        throw std::invalid_argument(
-            "GroupObserver::selectType: empty candidate list");
-    base_cfg.validate(/*require_type=*/false);
-    if (dim_ == 0)
-        throw std::logic_error(
-            "GroupObserver::selectType: nothing observed");
-    return selectTypeOverSketches(obs_, gs_, candidates, base_cfg, mode);
-}
-
 ObserverSelection
 Observer::selectType(const std::vector<TypePtr> &candidates,
                      const QuantConfig &base_cfg) const
@@ -533,149 +458,6 @@ Observer::selectType(const std::vector<TypePtr> &candidates,
         }
     }
     return sel;
-}
-
-// ---------------------------------------------------------------------
-// TimeGroupObserver
-// ---------------------------------------------------------------------
-
-TimeGroupObserver::TimeGroupObserver(int64_t group_size,
-                                     ObserverConfig cfg)
-    : gs_(group_size), cfg_(cfg)
-{
-    if (gs_ < 1)
-        throw std::invalid_argument(
-            "TimeGroupObserver: group_size must be >= 1 (got " +
-            std::to_string(gs_) + ")");
-}
-
-const Observer &
-TimeGroupObserver::group(int64_t g) const
-{
-    if (g < 0 || g >= groups())
-        throw std::invalid_argument(
-            "TimeGroupObserver::group: index out of range");
-    return obs_[static_cast<size_t>(g)];
-}
-
-int64_t
-TimeGroupObserver::count() const
-{
-    int64_t n = 0;
-    for (const Observer &o : obs_) n += o.count();
-    return n;
-}
-
-bool
-TimeGroupObserver::empty() const
-{
-    for (const Observer &o : obs_)
-        if (!o.empty()) return false;
-    return true;
-}
-
-void
-TimeGroupObserver::reset()
-{
-    dim_ = 0;
-    t_ = 0;
-    obs_.clear();
-}
-
-void
-TimeGroupObserver::merge(const TimeGroupObserver &other)
-{
-    if (gs_ != other.gs_)
-        throw std::invalid_argument(
-            "TimeGroupObserver::merge: mismatched group size");
-    if (cfg_.isSigned != other.cfg_.isSigned ||
-        cfg_.binsPerOctave != other.cfg_.binsPerOctave ||
-        cfg_.minExp != other.cfg_.minExp ||
-        cfg_.maxExp != other.cfg_.maxExp)
-        throw std::invalid_argument(
-            "TimeGroupObserver::merge: mismatched ObserverConfig");
-    if (other.dim_ == 0) return; // nothing observed on the other side
-    if (dim_ == 0) {
-        dim_ = other.dim_;
-        t_ = other.t_;
-        obs_ = other.obs_;
-        return;
-    }
-    if (dim_ != other.dim_)
-        throw std::invalid_argument(
-            "TimeGroupObserver::merge: mismatched feature dimension");
-    // Parallel shards over the same timeline: group g merges group g;
-    // the side with the longer timeline contributes its extra groups
-    // wholesale.
-    if (other.obs_.size() > obs_.size())
-        obs_.resize(other.obs_.size(), Observer(cfg_));
-    for (size_t g = 0; g < other.obs_.size(); ++g)
-        obs_[g].merge(other.obs_[g]);
-    t_ = std::max(t_, other.t_);
-}
-
-void
-TimeGroupObserver::observe(const float *rows, int64_t nrows, int64_t d)
-{
-    if (rows == nullptr || nrows < 1 || d < 1)
-        throw std::invalid_argument(
-            "TimeGroupObserver::observe: empty row batch");
-    if (dim_ == 0) {
-        dim_ = d;
-    } else if (dim_ != d) {
-        throw std::invalid_argument(
-            "TimeGroupObserver::observe: feature dim changed between "
-            "batches (" +
-            std::to_string(dim_) + " -> " + std::to_string(d) + ")");
-    }
-    // Rows are folded group-run at a time; within a group the sketch
-    // sees a contiguous float range, so the accumulation order is
-    // exactly that of observing the concatenated [T, d] tensor.
-    int64_t r = 0;
-    while (r < nrows) {
-        const int64_t g = t_ / gs_;
-        const int64_t take = std::min(nrows - r, gs_ - (t_ - g * gs_));
-        if (g >= groups()) obs_.emplace_back(cfg_);
-        obs_[static_cast<size_t>(g)].observe(rows + r * d, take * d);
-        t_ += take;
-        r += take;
-    }
-}
-
-void
-TimeGroupObserver::observe(const Tensor &t)
-{
-    if (t.ndim() < 1 || t.numel() == 0)
-        throw std::invalid_argument(
-            "TimeGroupObserver::observe: empty tensor");
-    const int64_t d = t.dim(t.ndim() - 1);
-    observe(t.data(), t.numel() / d, d);
-}
-
-std::vector<double>
-TimeGroupObserver::searchScales(const NumericType &type,
-                                const QuantConfig &cfg) const
-{
-    const KernelPtr kernel = TypeRegistry::instance().kernelFor(type);
-    std::vector<double> s;
-    s.reserve(obs_.size());
-    for (const Observer &o : obs_) s.push_back(o.searchScale(*kernel, cfg));
-    return s;
-}
-
-GroupObserverSelection
-TimeGroupObserver::selectType(const std::vector<TypePtr> &candidates,
-                              const QuantConfig &base_cfg,
-                              GroupTypeMode mode) const
-{
-    if (candidates.empty())
-        throw std::invalid_argument(
-            "TimeGroupObserver::selectType: empty candidate list");
-    base_cfg.validate(/*require_type=*/false);
-    if (dim_ == 0)
-        throw std::logic_error(
-            "TimeGroupObserver::selectType: nothing observed");
-    return selectTypeOverSketches(obs_, gs_, candidates, base_cfg, mode);
 }
 
 } // namespace ant

@@ -3,19 +3,20 @@
  * Streaming calibration observers.
  *
  * An Observer accumulates a fixed-binning magnitude sketch (plus the
- * exact absmax, element count, and optional per-channel absmax
- * partials) over arbitrarily many batches, then answers
- * searchScale/selectType queries from the merged sketch — no
+ * exact absmax and element count) over arbitrarily many batches, then
+ * answers searchScale/selectType queries from the merged sketch — no
  * concatenated calibration tensor is ever materialized, so a server can
  * calibrate from a rolling traffic sample in O(bins) memory.
+ * GroupObserver keeps one Observer per feature group; the KV cache
+ * (kv_cache.h) keeps one Observer for its open time group.
  *
  * Unlike MagnitudeHistogram (quant_kernel.h), whose linear binning is
  * relative to one tensor's absmax, the observer bins log-domain:
- * each power-of-two octave is split into binsPerOctave linear sub-bins,
- * so the binning is independent of the data seen so far. That makes
- * accumulation order-exact: observing batches b1, b2, ... produces
- * bit-identical state to observing their concatenation, which is what
- * pins streaming calibration to the single-pass reference
+ * each power-of-two octave is split into kBinsPerOctave linear
+ * sub-bins, so the binning is independent of the data seen so far.
+ * That makes accumulation order-exact: observing batches b1, b2, ...
+ * produces bit-identical state to observing their concatenation, which
+ * is what pins streaming calibration to the single-pass reference
  * (tests/test_calibrator.cpp).
  */
 
@@ -40,20 +41,6 @@ struct ObserverConfig
      * signedness of the types later queried.
      */
     bool isSigned = true;
-
-    /**
-     * Linear sub-bins per power-of-two octave. The default gives the
-     * sketch enough resolution that its scale picks coincide with the
-     * exact in-memory sweep on every distribution family in the test
-     * matrix (tests/test_calibrator.cpp); halving it starts to flip
-     * near-tied candidates in flat MSE valleys.
-     */
-    int binsPerOctave = 128;
-
-    /** Octave clamp range: magnitudes below 2^minExp fall into the
-     *  first bin, magnitudes in [2^maxExp, 2^(maxExp+1)) into the last. */
-    int minExp = -44;
-    int maxExp = 20;
 };
 
 /** Outcome of an Algorithm 2 query answered from the sketch. */
@@ -76,6 +63,21 @@ struct ObserverSelection
 class Observer
 {
   public:
+    /**
+     * Linear sub-bins per power-of-two octave: enough resolution that
+     * the sketch's scale picks coincide with the exact in-memory sweep
+     * on every distribution family in the test matrix
+     * (tests/test_calibrator.cpp); halving it starts to flip near-tied
+     * candidates in flat MSE valleys.
+     */
+    static constexpr int kBinsPerOctave = 128;
+
+    /** Octave clamp range: magnitudes below 2^kMinExp fall into the
+     *  first bin, magnitudes in [2^kMaxExp, 2^(kMaxExp+1)) into the
+     *  last. */
+    static constexpr int kMinExp = -44;
+    static constexpr int kMaxExp = 20;
+
     explicit Observer(ObserverConfig cfg = ObserverConfig{});
 
     const ObserverConfig &config() const { return cfg_; }
@@ -86,23 +88,11 @@ class Observer
     /** Accumulate a whole tensor. */
     void observe(const Tensor &t);
 
-    /**
-     * Accumulate a tensor and track per-channel absmax partials along
-     * @p channel_dim (e.g. 1 for NCHW activations). The sketch itself
-     * stays per-tensor; the partials support per-channel MaxCalib
-     * replay and range diagnostics without buffering activations.
-     */
-    void observe(const Tensor &t, int channel_dim);
-
     /** Total elements observed (including zeros and clamped values). */
     int64_t count() const { return n_; }
 
     /** Largest magnitude observed so far (exact, not binned). */
     double absMax() const { return amax_; }
-
-    /** Per-channel absmax partials (empty unless the channel-tracking
-     *  observe overload was used). */
-    const std::vector<double> &channelAbsMax() const { return chanAmax_; }
 
     /** True when nothing useful has been observed (no data, or all
      *  zero / all clamped-to-zero). */
@@ -113,7 +103,7 @@ class Observer
 
     /**
      * Fold another observer's accumulation into this one. Both must
-     * share an identical ObserverConfig. Merging shards is associative
+     * share the same signedness. Merging shards is associative
      * but, being floating-point, not bit-order-independent — merge in a
      * fixed shard order for reproducible results.
      */
@@ -137,7 +127,8 @@ class Observer
                        const QuantConfig &cfg) const;
 
     /** Kernel-reusing overload for callers sweeping many observers
-     *  with the same type (GroupObserver); cfg.type is ignored. */
+     *  with the same type (GroupObserver, KVCacheTensor); cfg.type is
+     *  ignored. */
     double
     searchScale(const QuantKernel &kernel, const QuantConfig &cfg) const
     {
@@ -165,7 +156,6 @@ class Observer
     double amax_ = 0.0;
     double constErr_ = 0.0; //!< clamp error of negatives, unsigned mode
     std::vector<double> cnt_, sum_, sumsq_; //!< per-bin accumulators
-    std::vector<double> chanAmax_;
 
     // Prefix tables derived from the accumulators, rebuilt lazily on
     // query after new observations (pcnt_[i] = count in bins [0, i)).
@@ -221,7 +211,7 @@ class GroupObserver
     void reset();
 
     /** Fold another group observer's sketches into this one. Both must
-     *  share group size, observer config, and (once seen) feature
+     *  share group size, signedness, and (once seen) feature
      *  dimension. */
     void merge(const GroupObserver &other);
 
@@ -254,99 +244,6 @@ class GroupObserver
   private:
     int64_t gs_;
     int64_t dim_ = 0;
-    ObserverConfig cfg_;
-    std::vector<Observer> obs_;
-};
-
-/**
- * Streaming per-timestep-group magnitude observer: the calibration side
- * of the autoregressive KV-cache scenario (M-ANT). Where GroupObserver
- * tiles the innermost *feature* dimension, this one tiles the *leading*
- * (timestep) axis: row t of the stream lands in group t / groupSize, so
- * a decode loop can fold tokens in as they arrive and query the current
- * group's scale after every append. Accumulation inherits Observer's
- * order-exactness — streaming rows one at a time produces bit-identical
- * sketches to observing the concatenated [T, d] tensor once, which is
- * what pins KVCacheTensor's streaming calibration to the offline
- * packFull oracle (tests/test_kv_cache.cpp).
- *
- * The feature dimension is fixed by the first observe() call. Like
- * Observer, not thread-safe; merge() parallel shards instead — e.g.
- * per-attention-head observers over the same timeline.
- */
-class TimeGroupObserver
-{
-  public:
-    explicit TimeGroupObserver(int64_t group_size,
-                               ObserverConfig cfg = ObserverConfig{});
-
-    /** Timesteps per scale group. */
-    int64_t groupSize() const { return gs_; }
-
-    /** Row width seen so far (0 before the first batch). */
-    int64_t featureDim() const { return dim_; }
-
-    /** Rows folded in so far. */
-    int64_t timesteps() const { return t_; }
-
-    /** Group sketches allocated: ceil(timesteps / groupSize). */
-    int64_t groups() const { return static_cast<int64_t>(obs_.size()); }
-
-    /** One time-group's sketch — the current (ragged) group's sketch is
-     *  group(timesteps() ? (timesteps() - 1) / groupSize() : 0). */
-    const Observer &group(int64_t g) const;
-
-    /** Total elements observed across all groups. */
-    int64_t count() const;
-
-    /** True when no group has observed anything useful. */
-    bool empty() const;
-
-    /** Forget everything, including the feature dimension. */
-    void reset();
-
-    /**
-     * Fold another time-group observer's sketches into this one,
-     * group-by-group. Both must share group size and config, and (once
-     * seen) feature dimension; group counts may differ — the longer
-     * timeline wins. The intended use is parallel shards over the
-     * *same* timeline (per-head or per-replica observers whose row t is
-     * the same decode step t); timesteps() becomes the max of the two
-     * sides. Like Observer::merge, associative but not
-     * bit-order-independent.
-     */
-    void merge(const TimeGroupObserver &other);
-
-    /**
-     * Fold @p nrows rows of width @p d into the stream: row i lands in
-     * time group (timesteps() + i) / groupSize(). The width is pinned
-     * by the first call; a later batch with a different width throws.
-     */
-    void observe(const float *rows, int64_t nrows, int64_t d);
-
-    /** Tensor overload: the innermost dimension is the feature axis,
-     *  every leading dimension is flattened into timestep rows. */
-    void observe(const Tensor &t);
-
-    /** Per-time-group scale search for one fixed type (cfg.type is
-     *  ignored); index g of the result is group g's scale. */
-    std::vector<double> searchScales(const NumericType &type,
-                                     const QuantConfig &cfg) const;
-
-    /**
-     * Per-time-group Algorithm 2 from the sketches (same modes and
-     * result layout as GroupObserver::selectType, with the group axis
-     * being time). @p base_cfg.type is ignored.
-     */
-    GroupObserverSelection
-    selectType(const std::vector<TypePtr> &candidates,
-               const QuantConfig &base_cfg,
-               GroupTypeMode mode = GroupTypeMode::PerGroup) const;
-
-  private:
-    int64_t gs_;
-    int64_t dim_ = 0;
-    int64_t t_ = 0;
     ObserverConfig cfg_;
     std::vector<Observer> obs_;
 };

@@ -1,5 +1,6 @@
 #include "core/kv_cache.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -34,13 +35,12 @@ KVCacheConfig::searchConfig() const
 
 namespace {
 
-/** Validate the config and pin the sketch signedness to the storage
- *  grid's — run before any member construction can touch the type. */
+/** Validate the config before any member construction can touch the
+ *  type. */
 KVCacheConfig
 validatedConfig(KVCacheConfig cfg)
 {
     cfg.validate();
-    cfg.observer.isSigned = cfg.type->isSigned();
     return cfg;
 }
 
@@ -51,7 +51,7 @@ KVCacheTensor::KVCacheTensor(int64_t feature_dim, KVCacheConfig cfg)
       kernel_(cachedKernel(cfg_.type)),
       searchCfg_(cfg_.searchConfig()),
       d_(feature_dim),
-      obs_(cfg_.groupSize, cfg_.observer)
+      open_(ObserverConfig{cfg_.type->isSigned()})
 {
     if (d_ < 1)
         throw std::invalid_argument(
@@ -122,7 +122,7 @@ KVCacheTensor::append(const Tensor &rows)
         const int64_t g = t_ / gs;
         const int64_t take = std::min(n - done, gs - (t_ - g * gs));
         const float *run = src + done * d_;
-        obs_.observe(run, take, d_);
+        open_.observe(run, take * d_);
         tail_.insert(tail_.end(), run, run + take * d_);
         t_ += take;
         if (static_cast<int64_t>(scales_.size()) <= g)
@@ -132,9 +132,13 @@ KVCacheTensor::append(const Tensor &rows)
         // complete, so a closed group's scale is final and bit-equal
         // to the offline pick.
         scales_[static_cast<size_t>(g)] =
-            obs_.group(g).searchScale(*kernel_, searchCfg_);
+            open_.searchScale(*kernel_, searchCfg_);
         repackTail(g);
-        if (t_ % gs == 0) tail_.clear();
+        if (t_ % gs == 0) {
+            // The group closed: its scale is final, its codes frozen.
+            tail_.clear();
+            open_.reset();
+        }
         done += take;
     }
 }
@@ -193,11 +197,17 @@ KVCacheTensor::packFull(const Tensor &kv, KVCacheConfig cfg)
     KVCacheTensor c(d, std::move(cfg));
     const int64_t gs = c.cfg_.groupSize;
 
-    // Offline calibration: one observer pass over the concatenated
-    // sequence, then one scale search per group — the reference the
-    // streaming path is pinned against.
-    c.obs_.observe(kv.data(), T, d);
-    c.scales_ = c.obs_.searchScales(*c.cfg_.type, c.searchCfg_);
+    // Offline calibration: a one-shot observer pass and scale search
+    // per group — the reference the streaming path is pinned against.
+    // The last pass leaves the open observer holding the ragged tail's
+    // sketch, so appends after a prefill continue where streaming
+    // would.
+    for (int64_t r0 = 0; r0 < T; r0 += gs) {
+        c.open_.reset();
+        c.open_.observe(kv.data() + r0 * d, std::min(gs, T - r0) * d);
+        c.scales_.push_back(c.open_.searchScale(*c.kernel_, c.searchCfg_));
+    }
+    if (T % gs == 0) c.open_.reset();
 
     // One-shot pack through QTensor's parallel word-window path (a
     // genuinely different encoder than append's packBatch, which is
@@ -214,8 +224,7 @@ KVCacheTensor::packFull(const Tensor &kv, KVCacheConfig cfg)
                                                        span.end());
     c.t_ = T;
 
-    // Rebuild the open group's float rows so decode can keep appending
-    // after a prefill.
+    // Rebuild the open group's float rows too.
     const int64_t tail_rows = T % gs;
     if (tail_rows > 0) {
         const float *first = kv.data() + (T - tail_rows) * d;

@@ -7,22 +7,24 @@
  * group axis is *time*: KVCacheTensor keeps one scale per group of
  * `groupSize` consecutive timesteps and stores the codes in QTensor's
  * word-packed layout for a [T, d] row-major tensor. Appending a row
- * extends the bit stream in place; only the current *ragged tail group*
- * is ever re-encoded (its scale tightens as its rows arrive, so its
- * codes are re-packed against the refreshed scale), closed groups are
- * frozen bits. The float rows of the tail group are the only float
- * state retained — O(groupSize * d), independent of sequence length.
+ * extends the bit stream in place; only the current *open* (ragged
+ * tail) group is ever re-encoded (its scale tightens as its rows
+ * arrive, so its codes are re-packed against the refreshed scale),
+ * closed groups are frozen bits plus a final scale. The open group's
+ * float rows and one Observer sketch of them are the only calibration
+ * state retained — O(groupSize * d + bins), independent of sequence
+ * length; the sketch is reset the moment its group closes.
  *
  * The central contract is streaming/offline parity, pinned by
  * tests/test_kv_cache.cpp: after appending any prefix of a sequence
- * row by row (in any batch sizes), the cache's packed words, group
- * scales, and observer sketches are *bitwise identical* to packFull()
- * of the concatenated prefix — which itself packs through the
- * independent one-shot path (TimeGroupObserver over the full tensor +
- * QTensor::pack). Calibration inherits Observer's order-exactness;
- * codes agree because closed groups' scales are final the moment their
- * last row arrives, and the tail is always re-encoded against the
- * scale packFull would pick for the same rows.
+ * row by row (in any batch sizes), the cache's packed words and group
+ * scales are *bitwise identical* to packFull() of the concatenated
+ * prefix — which itself packs through the independent one-shot path
+ * (one Observer pass per group + QTensor::pack). Calibration inherits
+ * Observer's order-exactness; codes agree because closed groups'
+ * scales are final the moment their last row arrives, and the tail is
+ * always re-encoded against the scale packFull would pick for the same
+ * rows.
  *
  * packed() exposes the cache as a zero-copy QTensor *view* in the
  * PerChannel layout (row t carries its group's scale), so the packed
@@ -62,14 +64,6 @@ struct KVCacheConfig
     int searchSteps = 40;   //!< clip-ratio grid points for MseSearch
     double searchLo = 0.30; //!< smallest clip ratio explored
 
-    /**
-     * Sketch resolution of the streaming calibration. isSigned is
-     * derived from the type at construction (a signedness mismatch
-     * between sketch and grid is never meaningful), so only the
-     * binning fields need setting here.
-     */
-    ObserverConfig observer;
-
     /** Reject broken fields with std::invalid_argument naming the
      *  offending one: null type, type bits outside [2, 8] (the packed
      *  codec's range), groupSize < 1, and the scale-search knobs via
@@ -84,8 +78,8 @@ struct KVCacheConfig
 class KVCacheTensor
 {
   public:
-    /** Empty cache for rows of width @p feature_dim. Validates @p cfg
-     *  and pins the observer signedness to the type's. */
+    /** Empty cache for rows of width @p feature_dim. Validates @p cfg;
+     *  the open group's sketch takes the type's signedness. */
     KVCacheTensor(int64_t feature_dim, KVCacheConfig cfg);
 
     const KVCacheConfig &config() const { return cfg_; }
@@ -108,15 +102,12 @@ class KVCacheTensor
      *  closes — it tightens as the group's remaining rows arrive. */
     const std::vector<double> &scales() const { return scales_; }
 
-    /** The streaming calibration state (one sketch per time group). */
-    const TimeGroupObserver &observer() const { return obs_; }
-
     /**
      * Fold rows into the cache: @p rows is one [d] row or a [R, d]
      * batch (leading dimensions flattened into timestep rows). Each
-     * row is observed, its group's scale is refreshed from the group's
-     * sketch, and the ragged tail group is re-encoded against the new
-     * scale; closed groups are never touched. Appending a batch is
+     * row is observed into the open group's sketch, the group's scale
+     * is re-searched from it, and the open group is re-encoded against
+     * the new scale; closed groups are never touched. Appending a batch is
      * bitwise identical to appending its rows one at a time.
      */
     void append(const Tensor &rows);
@@ -157,11 +148,11 @@ class KVCacheTensor
 
     /**
      * The offline oracle: calibrate and pack the whole [T, d] tensor
-     * in one shot — TimeGroupObserver over the full sequence, one
-     * scale search per complete group, QTensor::pack of the codes.
-     * The result is a fully functional cache (its tail floats are
-     * rebuilt from @p kv), so decode can keep appending after a
-     * prefill. Streaming parity with append() is the class contract.
+     * in one shot — one Observer pass and scale search per group,
+     * QTensor::pack of the codes. The result is a fully functional
+     * cache (its open group's floats and sketch are rebuilt from
+     * @p kv), so decode can keep appending after a prefill. Streaming
+     * parity with append() is the class contract.
      */
     static KVCacheTensor packFull(const Tensor &kv, KVCacheConfig cfg);
 
@@ -178,7 +169,7 @@ class KVCacheTensor
     QuantConfig searchCfg_;
     int64_t d_ = 0;
     int64_t t_ = 0;
-    TimeGroupObserver obs_;
+    Observer open_; //!< sketch of the open group's rows
     std::vector<double> scales_;
     std::vector<float> tail_; //!< float rows of the open ragged group
     std::shared_ptr<std::vector<uint64_t>> words_;

@@ -142,6 +142,51 @@ class Pool
 };
 
 /**
+ * Completion latch of one parallelFor call: the caller waits on it
+ * until every submitted pool task has finished, then rethrows the first
+ * error any chunk raised. It lives on the caller's stack, so finish()
+ * notifies while still holding the mutex: the caller cannot see the
+ * final count (and return, destroying the latch) until the worker has
+ * released the lock, after which the worker never touches it again.
+ */
+class Completion
+{
+  public:
+    /** Record @p e unless an earlier error is already recorded. */
+    void
+    fail(std::exception_ptr e)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (!first_error_) first_error_ = std::move(e);
+    }
+
+    /** Mark one pool task done; the task's last touch of the latch. */
+    void
+    finish()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        ++done_;
+        cv_.notify_one();
+    }
+
+    /** Block until @p submitted tasks have finished, then rethrow the
+     *  first recorded error. */
+    void
+    wait(int64_t submitted)
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_.wait(lk, [&] { return done_ == submitted; });
+        if (first_error_) std::rethrow_exception(first_error_);
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    int64_t done_ = 0;
+    std::exception_ptr first_error_;
+};
+
+/**
  * Per-worker index range for the stealing mode. The owner takes
  * grain-sized chunks from the front, thieves take grain-sized chunks
  * from the back; both under the range's own mutex — contention is one
@@ -185,11 +230,7 @@ struct StealCtl
     const std::function<void(int64_t, int64_t)> *body = nullptr;
     std::vector<StealRange> ranges;
     int64_t grain = 1;
-
-    std::mutex mu;
-    std::condition_variable done_cv;
-    int64_t done = 0;
-    std::exception_ptr first_error;
+    Completion completion;
 };
 
 /**
@@ -222,9 +263,7 @@ stealWorker(StealCtl &ctl, size_t me)
             if (!stole) return;
         }
     } catch (...) {
-        std::lock_guard<std::mutex> lk(ctl.mu);
-        if (!ctl.first_error)
-            ctl.first_error = std::current_exception();
+        ctl.completion.fail(std::current_exception());
     }
 }
 
@@ -257,11 +296,7 @@ parallelForStealing(int64_t n,
         ++submitted;
         pool.submit([&ctl, t] {
             stealWorker(ctl, static_cast<size_t>(t));
-            {
-                std::lock_guard<std::mutex> lk(ctl.mu);
-                ++ctl.done;
-            }
-            ctl.done_cv.notify_one();
+            ctl.completion.finish();
         });
     }
 
@@ -269,9 +304,7 @@ parallelForStealing(int64_t n,
     stealWorker(ctl, 0);
     t_inParallel = false;
 
-    std::unique_lock<std::mutex> lk(ctl.mu);
-    ctl.done_cv.wait(lk, [&] { return ctl.done == submitted; });
-    if (ctl.first_error) std::rethrow_exception(ctl.first_error);
+    ctl.completion.wait(submitted);
 }
 
 } // namespace
@@ -331,10 +364,7 @@ parallelFor(int64_t n, const std::function<void(int64_t, int64_t)> &body,
         std::min<int64_t>(static_cast<int64_t>(threads), max_chunks);
     const int64_t step = (n + chunks - 1) / chunks;
 
-    std::mutex mu;
-    std::condition_variable done_cv;
-    int64_t done = 0;
-    std::exception_ptr first_error;
+    Completion completion;
     int64_t submitted = 0;
 
     Pool &pool = Pool::instance();
@@ -345,15 +375,9 @@ parallelFor(int64_t n, const std::function<void(int64_t, int64_t)> &body,
             try {
                 body(b, e);
             } catch (...) {
-                std::lock_guard<std::mutex> lk(mu);
-                if (!first_error)
-                    first_error = std::current_exception();
+                completion.fail(std::current_exception());
             }
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                ++done;
-            }
-            done_cv.notify_one();
+            completion.finish();
         });
     }
 
@@ -362,14 +386,11 @@ parallelFor(int64_t n, const std::function<void(int64_t, int64_t)> &body,
     try {
         body(0, std::min(n, step));
     } catch (...) {
-        std::lock_guard<std::mutex> lk(mu);
-        if (!first_error) first_error = std::current_exception();
+        completion.fail(std::current_exception());
     }
     t_inParallel = false;
 
-    std::unique_lock<std::mutex> lk(mu);
-    done_cv.wait(lk, [&] { return done == submitted; });
-    if (first_error) std::rethrow_exception(first_error);
+    completion.wait(submitted);
 }
 
 } // namespace ant

@@ -8,15 +8,15 @@
  * packFull() of the concatenated [T, d] tensor, across type specs
  * {int3, int4, flint4, pot4u} x group sizes {64, 128, exact-divisor}
  * x thread counts {1, 8} x schedules {Static, Stealing}. "Bitwise"
- * means packed payload words, group scales (exact doubles), observer
- * sketches (count / absMax / searchScale per group), and nbytes all
- * agree. The two sides run genuinely different code: append() encodes
- * serially through QuantKernel::packBatch while packFull() packs
- * through QTensor::pack's parallel word-window path.
+ * means packed payload words, group scales (exact doubles), and nbytes
+ * all agree. The two sides run genuinely different code: append()
+ * folds rows into the open group's sketch and encodes serially through
+ * QuantKernel::packBatch, while packFull() calibrates each group in one
+ * pass and packs through QTensor::pack's parallel word-window path.
  *
- * Also pinned: prefill-then-append == pure streaming, TimeGroupObserver
- * streaming == one-shot and its shard-merge laws, copy-on-write
- * snapshot immutability, the analytic footprint twin, and the
+ * Also pinned: prefill-then-append == pure streaming on both sides of a
+ * group boundary (packFull re-seeds the open group's sketch), copy-on-
+ * write snapshot immutability, the analytic footprint twin, and the
  * validation error paths.
  */
 
@@ -88,25 +88,6 @@ makeConfig(const std::string &spec, int64_t gs,
     return cfg;
 }
 
-/** Observer sketches agree: per group, count and absMax exactly, and
- *  the scale each sketch would search to. */
-void
-expectSameObserver(const TimeGroupObserver &a, const TimeGroupObserver &b,
-                   const KVCacheConfig &cfg)
-{
-    ASSERT_EQ(a.groups(), b.groups());
-    ASSERT_EQ(a.timesteps(), b.timesteps());
-    const KernelPtr kernel = cachedKernel(cfg.type);
-    const QuantConfig qc = cfg.searchConfig();
-    for (int64_t g = 0; g < a.groups(); ++g) {
-        SCOPED_TRACE("group " + std::to_string(g));
-        ASSERT_EQ(a.group(g).count(), b.group(g).count());
-        ASSERT_EQ(a.group(g).absMax(), b.group(g).absMax());
-        ASSERT_EQ(a.group(g).searchScale(*kernel, qc),
-                  b.group(g).searchScale(*kernel, qc));
-    }
-}
-
 /** Full bitwise-equality oracle between two caches. */
 void
 expectBitwiseEqual(const KVCacheTensor &a, const KVCacheTensor &b)
@@ -118,7 +99,6 @@ expectBitwiseEqual(const KVCacheTensor &a, const KVCacheTensor &b)
         ASSERT_EQ(a.scales()[static_cast<size_t>(g)],
                   b.scales()[static_cast<size_t>(g)])
             << "scale of group " << g;
-    expectSameObserver(a.observer(), b.observer(), a.config());
     if (a.timesteps() == 0)
         return;
     const QTensor pa = a.packed();
@@ -201,91 +181,30 @@ TEST(KVCacheTest, MaxCalibScaleModeParity)
 
 TEST(KVCacheTest, PackFullPrefixThenAppendMatchesStreaming)
 {
-    const int64_t T = 150, prefix = 100, d = 24, gs = 64;
+    const int64_t T = 150, d = 24, gs = 64;
     const Tensor rows = makeRows(T, d, 0xBEE);
     const KVCacheConfig cfg = makeConfig("int4", gs);
-
-    // packFull(prefix) leaves a ragged 36-row tail that must have been
-    // rebuilt as float working state.
-    KVCacheTensor prefilled =
-        KVCacheTensor::packFull(slabOf(rows, 0, prefix, d), cfg);
-    ASSERT_EQ(prefilled.timesteps(), prefix);
-    for (int64_t i = prefix; i < T; ++i)
-        prefilled.append(rowOf(rows, i, d));
 
     KVCacheTensor streaming(d, cfg);
     for (int64_t i = 0; i < T; ++i)
         streaming.append(rowOf(rows, i, d));
+    const KVCacheTensor oracle = KVCacheTensor::packFull(rows, cfg);
 
-    expectBitwiseEqual(prefilled, streaming);
-    expectBitwiseEqual(prefilled, KVCacheTensor::packFull(rows, cfg));
-}
+    // Prefixes that leave a ragged open group (1, 100) and that close
+    // on a group boundary (64, 128): packFull must rebuild the open
+    // group's floats and sketch — or leave them empty — exactly as
+    // streaming the prefix would.
+    for (int64_t prefix : {1, 64, 100, 128}) {
+        SCOPED_TRACE("prefix " + std::to_string(prefix));
+        KVCacheTensor prefilled =
+            KVCacheTensor::packFull(slabOf(rows, 0, prefix, d), cfg);
+        ASSERT_EQ(prefilled.timesteps(), prefix);
+        for (int64_t i = prefix; i < T; ++i)
+            prefilled.append(rowOf(rows, i, d));
 
-// ---------------------------------------------------------------------------
-// The streaming calibrator on its own: one-shot == row-at-a-time, and
-// the shard-merge laws.
-// ---------------------------------------------------------------------------
-
-TEST(KVCacheTest, TimeGroupObserverStreamingMatchesOneShot)
-{
-    const int64_t T = 130, d = 12, gs = 48;
-    const Tensor rows = makeRows(T, d, 0xC0);
-    const KVCacheConfig cfg = makeConfig("int4", gs);
-    ObserverConfig oc;
-    oc.isSigned = true;
-
-    TimeGroupObserver one_shot(gs, oc);
-    one_shot.observe(rows.reshaped(Shape{T, d}));
-
-    TimeGroupObserver streamed(gs, oc);
-    for (int64_t i = 0; i < T; ++i)
-        streamed.observe(rows.data() + i * d, 1, d);
-
-    expectSameObserver(one_shot, streamed, cfg);
-    ASSERT_EQ(one_shot.searchScales(*cfg.type, cfg.searchConfig()),
-              streamed.searchScales(*cfg.type, cfg.searchConfig()));
-}
-
-TEST(KVCacheTest, TimeGroupObserverMerge)
-{
-    const int64_t T = 100, T2 = 60, d = 8, gs = 32;
-    const Tensor a = makeRows(T, d, 0xD1);
-    const Tensor b = makeRows(T2, d, 0xD2);
-    ObserverConfig oc;
-    oc.isSigned = true;
-
-    // Merging an empty shard is the identity (exact, both directions).
-    TimeGroupObserver obs(gs, oc), empty(gs, oc);
-    obs.observe(a);
-    TimeGroupObserver copy = obs;
-    obs.merge(empty);
-    KVCacheConfig cfg = makeConfig("int4", gs);
-    expectSameObserver(obs, copy, cfg);
-    TimeGroupObserver adopted(gs, oc);
-    adopted.merge(obs);
-    expectSameObserver(adopted, obs, cfg);
-
-    // Parallel shards over the same timeline: counts add, absMax is
-    // the max, the merged timeline is the longer one.
-    TimeGroupObserver oa(gs, oc), ob(gs, oc);
-    oa.observe(a);
-    ob.observe(b);
-    TimeGroupObserver merged = oa;
-    merged.merge(ob);
-    ASSERT_EQ(merged.timesteps(), T);
-    ASSERT_EQ(merged.groups(), oa.groups());
-    for (int64_t g = 0; g < merged.groups(); ++g) {
-        const int64_t nb =
-            g < ob.groups() ? ob.group(g).count() : 0;
-        ASSERT_EQ(merged.group(g).count(), oa.group(g).count() + nb);
-        const double mb = g < ob.groups() ? ob.group(g).absMax() : 0.0;
-        ASSERT_EQ(merged.group(g).absMax(),
-                  std::max(oa.group(g).absMax(), mb));
+        expectBitwiseEqual(prefilled, streaming);
+        expectBitwiseEqual(prefilled, oracle);
     }
-
-    // Mismatched group sizes can never merge.
-    TimeGroupObserver other_gs(gs * 2, oc);
-    EXPECT_THROW(merged.merge(other_gs), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "tensor/parallel.h"
@@ -241,6 +242,38 @@ TEST(ParallelStealing, ResultsMatchStaticBitwise)
         parallelFor(n, fill(b), 32, Schedule::Stealing);
     }
     EXPECT_EQ(a, b);
+}
+
+TEST(ParallelStress, ConcurrentTinyCallsCompleteCleanly)
+{
+    // Completion-protocol regression: each call's latch lives on its
+    // caller's stack, so a worker that still touches it after the
+    // caller saw the final count is a use-after-scope. Many tiny
+    // calls from many threads make the caller return as early as it
+    // ever can; both schedules share the latch.
+    PoolGuard guard(4);
+    const int callers = 8;
+    const int calls = 2000;
+    const int64_t n = 4; // grain 1: every call fans out to the pool
+    std::atomic<int64_t> wrong{0};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < callers; ++c)
+        threads.emplace_back([&, c] {
+            for (int i = 0; i < calls; ++i) {
+                int hits[n] = {};
+                parallelFor(
+                    n,
+                    [&](int64_t lo, int64_t hi) {
+                        for (int64_t k = lo; k < hi; ++k) ++hits[k];
+                    },
+                    1,
+                    (c + i) % 2 ? Schedule::Stealing : Schedule::Static);
+                for (int k = 0; k < n; ++k)
+                    if (hits[k] != 1) wrong.fetch_add(1);
+            }
+        });
+    for (std::thread &t : threads) t.join();
+    EXPECT_EQ(wrong.load(), 0);
 }
 
 } // namespace

@@ -214,6 +214,26 @@ TEST(Shard, CorruptionAndMissingShardsAreDetected)
                  ArtifactError);
 }
 
+TEST(Shard, ManifestRejectsShardNamesOutsideItsDirectory)
+{
+    // Shard names are joined onto the manifest's directory, so only a
+    // plain basename may parse.
+    ShardedManifest m;
+    m.recipe = tinyArtifact(27).recipe;
+    ManifestShard row;
+    row.file = "model.shard000.antq";
+    row.blobCount = 1;
+    m.shards.push_back(row);
+    EXPECT_EQ(ShardedManifest::fromBytes(m.toBytes()).shards[0].file,
+              row.file);
+    for (const char *bad : {"../x", "..", ".", "sub/x", "/x", "a\\b"}) {
+        SCOPED_TRACE(bad);
+        m.shards[0].file = bad;
+        EXPECT_THROW(ShardedManifest::fromBytes(m.toBytes()),
+                     ArtifactError);
+    }
+}
+
 TEST(Shard, FormatSniffTellsTheTwoApart)
 {
     const ModelArtifact art = tinyArtifact(25);
