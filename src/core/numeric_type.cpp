@@ -50,7 +50,7 @@ double
 NumericType::quantizeValue(double x) const
 {
     const auto &g = grid_;
-    if (x <= g.front()) return g.front();
+    if (!(x > g.front())) return g.front(); // NaN clamps low too
     if (x >= g.back()) return g.back();
     const auto it = std::lower_bound(g.begin(), g.end(), x);
     const double hi = *it;

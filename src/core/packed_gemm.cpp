@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "core/type_registry.h"
 #include "hw/decoder.h"
 #include "tensor/parallel.h"
 
@@ -77,35 +78,13 @@ peTypeOf(TypeKind k)
     throw std::logic_error("peTypeOf: no integer PE for this kind");
 }
 
-/** Rows (dim-0 slices) and per-row chunk of a packed payload, with the
- *  1-D single-row fallback mirroring QTensor's frozen layouts. */
-void
-rowsAndChunk(const QTensor &q, int64_t &rows, int64_t &chunk)
-{
-    if (q.shape().ndim() >= 2) {
-        rows = q.shape().dim(0);
-        chunk = 1;
-        for (int d = 1; d < q.shape().ndim(); ++d)
-            chunk *= q.shape().dim(d);
-    } else {
-        rows = q.numel() > 0 ? 1 : 0;
-        chunk = q.numel();
-    }
-}
-
-/** Effective granularity: 0-D/1-D payloads are single-scale. */
-Granularity
-effectiveGranularity(const QTensor &q)
-{
-    return q.shape().ndim() < 2 ? Granularity::PerTensor
-                                : q.granularity();
-}
-
 /**
- * Per-row decode plan: resolved grids and the scale segmentation of
- * one payload, so the GEMM inner loops never touch the registry.
+ * Row layout of one payload: rows (dim-0 slices), per-row chunk and
+ * the scale segmentation, shared by the float and the integer decode
+ * plans. A 0-D/1-D payload is one single-scale row, mirroring
+ * QTensor's frozen layouts.
  */
-struct RowDecodePlan
+struct RowLayout
 {
     const QTensor *q = nullptr;
     int64_t rows = 0;
@@ -114,14 +93,19 @@ struct RowDecodePlan
     Granularity gran = Granularity::PerTensor;
     int64_t gs = 0;  //!< group size (PerGroup only)
     int64_t gpc = 0; //!< groups per row (1 otherwise)
-    DecodedGridPtr mainGrid;
-    std::vector<DecodedGridPtr> groupGrids; //!< empty when homogeneous
 
-    explicit RowDecodePlan(const QTensor &qt) : q(&qt)
+    explicit RowLayout(const QTensor &qt) : q(&qt), bits(qt.bits())
     {
-        rowsAndChunk(qt, rows, chunk);
-        bits = qt.bits();
-        gran = effectiveGranularity(qt);
+        if (qt.shape().ndim() >= 2) {
+            rows = qt.shape().dim(0);
+            chunk = 1;
+            for (int d = 1; d < qt.shape().ndim(); ++d)
+                chunk *= qt.shape().dim(d);
+            gran = qt.granularity();
+        } else {
+            rows = qt.numel() > 0 ? 1 : 0;
+            chunk = qt.numel();
+        }
         if (gran == Granularity::PerGroup) {
             gs = qt.groupSize();
             gpc = qt.groupsPerChannel();
@@ -129,10 +113,6 @@ struct RowDecodePlan
             gs = chunk;
             gpc = 1;
         }
-        mainGrid = cachedDecodedGrid(qt.type());
-        groupGrids.reserve(qt.groupTypes().size());
-        for (const TypePtr &t : qt.groupTypes())
-            groupGrids.push_back(cachedDecodedGrid(t));
     }
 
     /** Scale-plane index of (row, position-in-row). */
@@ -148,51 +128,68 @@ struct RowDecodePlan
         }
         return 0;
     }
+};
+
+/**
+ * Float decode plan: the payload's compiled kernels, resolved once, so
+ * the GEMM inner loops never touch the registry.
+ */
+struct RowDecodePlan : RowLayout
+{
+    KernelPtr mainKernel;
+    std::vector<KernelPtr> groupKernels; //!< empty when homogeneous
+
+    explicit RowDecodePlan(const QTensor &qt) : RowLayout(qt)
+    {
+        mainKernel = cachedKernel(qt.type());
+        groupKernels.reserve(qt.groupTypes().size());
+        for (const TypePtr &t : qt.groupTypes())
+            groupKernels.push_back(cachedKernel(t));
+    }
+
+    /**
+     * Decode row @p row into floats through QuantKernel::unpackBatch,
+     * one call per constant-scale segment — the very calls
+     * QTensor::unpack() makes for those elements, so the floats are
+     * bitwise identical by construction.
+     */
+    void
+    decodeRowFloat(int64_t row, float *out) const
+    {
+        const uint64_t *words = q->words().data();
+        const std::vector<double> &scales = q->scales();
+        for (int64_t s0 = 0; s0 < chunk; s0 += gs) {
+            const size_t si = scaleIndex(row, s0);
+            const QuantKernel &k =
+                groupKernels.empty() ? *mainKernel : *groupKernels[si];
+            k.unpackBatch(words, (row * chunk + s0) * bits,
+                          std::min(gs, chunk - s0), scales[si],
+                          out + s0);
+        }
+    }
+};
+
+/**
+ * Integer decode plan (the Fig. 6 datapath): every code decodes to its
+ * common-exponent integer through the payload's DecodedGrids.
+ */
+struct IntDecodePlan : RowLayout
+{
+    DecodedGridPtr mainGrid;
+    std::vector<DecodedGridPtr> groupGrids; //!< empty when homogeneous
+
+    explicit IntDecodePlan(const QTensor &qt) : RowLayout(qt)
+    {
+        mainGrid = cachedDecodedGrid(qt.type());
+        groupGrids.reserve(qt.groupTypes().size());
+        for (const TypePtr &t : qt.groupTypes())
+            groupGrids.push_back(cachedDecodedGrid(t));
+    }
 
     const DecodedGrid &
     gridAt(size_t scale_idx) const
     {
         return groupGrids.empty() ? *mainGrid : *groupGrids[scale_idx];
-    }
-
-    /**
-     * Decode row @p row into floats, bitwise identical to what
-     * QTensor::unpack() writes for the same elements: per segment of
-     * constant scale, a 2^bits-entry LUT of
-     * `float(codeValue * scale)` (all zeros for a degenerate scale),
-     * indexed by the extracted codes. @p lut is caller scratch.
-     */
-    void
-    decodeRowFloat(int64_t row, float *out,
-                   std::vector<float> &lut) const
-    {
-        const uint64_t *words = q->words().data();
-        const std::vector<double> &scales = q->scales();
-        const uint64_t mask = (uint64_t{1} << bits) - 1;
-        for (int64_t s0 = 0; s0 < chunk; s0 += gs) {
-            const int64_t len = std::min(gs, chunk - s0);
-            const size_t si = scaleIndex(row, s0);
-            const DecodedGrid &g = gridAt(si);
-            const double scale = scales[si];
-            lut.resize(g.value.size());
-            if (scale > 0.0 && std::isfinite(scale)) {
-                for (size_t c = 0; c < g.value.size(); ++c)
-                    lut[c] = static_cast<float>(g.value[c] * scale);
-            } else {
-                for (size_t c = 0; c < g.value.size(); ++c)
-                    lut[c] = 0.0f;
-            }
-            int64_t pos = (row * chunk + s0) * bits;
-            for (int64_t p = 0; p < len; ++p, pos += bits) {
-                const int64_t w = pos >> 6;
-                const int off = static_cast<int>(pos & 63);
-                uint64_t code = words[w] >> off;
-                if (off + bits > 64)
-                    code |= words[w + 1] << (64 - off);
-                out[s0 + p] =
-                    lut[static_cast<size_t>(code & mask)];
-            }
-        }
     }
 
     /** Decode row @p row to common-exponent integers (intVal). */
@@ -251,6 +248,87 @@ checkPacked(const char *who, const QTensor &q)
                                     ": empty packed operand");
 }
 
+/**
+ * C = A @ concat_k(W_0 .. W_{count-1})^T over the k segments of
+ * @p plans — the one serving BT kernel; an unsplit weight is one
+ * segment. One output column (= packed row) per task: each worker
+ * decodes every segment's row at its k offset into one k-float
+ * scratch, then runs the exact matmulBT inner product (double
+ * accumulation, ascending p). Nothing larger than one row is ever
+ * dequantized. Four activation rows run interleaved — four independent
+ * accumulator chains over one pass of the decoded row — which changes
+ * the instruction-level parallelism but not any output's summation
+ * order, so the result stays bitwise identical to the single-row loop.
+ */
+Tensor
+matmulBTSegments(const char *who, const Tensor &a,
+                 const RowDecodePlan *plans, size_t count)
+{
+    const int64_t n = plans[0].rows;
+    int64_t k = 0;
+    for (size_t s = 0; s < count; ++s) {
+        if (plans[s].rows != n)
+            throw std::invalid_argument(
+                std::string(who) + ": every part must share the "
+                "output dim (got " + std::to_string(plans[s].rows) +
+                " vs " + std::to_string(n) + ")");
+        k += plans[s].chunk;
+    }
+    if (a.ndim() != 2)
+        throw std::invalid_argument(
+            std::string(who) + ": activations must be 2-D, got " +
+            a.shape().str());
+    const int64_t m = a.dim(0);
+    if (a.dim(1) != k)
+        throw std::invalid_argument(
+            std::string(who) + ": inner dim mismatch (" +
+            a.shape().str() + " vs packed k=" + std::to_string(k) +
+            ")");
+    Tensor c{Shape{m, n}};
+    g_fp_gemm_calls.fetch_add(1, std::memory_order_relaxed);
+    const float *pa = a.data();
+    float *pc = c.data();
+    parallelFor(n, [&](int64_t jb, int64_t je) {
+        std::vector<float> row(static_cast<size_t>(k));
+        for (int64_t j = jb; j < je; ++j) {
+            int64_t off = 0;
+            for (size_t s = 0; s < count; ++s) {
+                plans[s].decodeRowFloat(j, row.data() + off);
+                off += plans[s].chunk;
+            }
+            int64_t i = 0;
+            for (; i + 4 <= m; i += 4) {
+                const float *a0 = pa + i * k;
+                const float *a1 = a0 + k;
+                const float *a2 = a1 + k;
+                const float *a3 = a2 + k;
+                double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+                for (int64_t p = 0; p < k; ++p) {
+                    const double wv = row[p];
+                    s0 += static_cast<double>(a0[p]) * wv;
+                    s1 += static_cast<double>(a1[p]) * wv;
+                    s2 += static_cast<double>(a2[p]) * wv;
+                    s3 += static_cast<double>(a3[p]) * wv;
+                }
+                pc[i * n + j] = static_cast<float>(s0);
+                pc[(i + 1) * n + j] = static_cast<float>(s1);
+                pc[(i + 2) * n + j] = static_cast<float>(s2);
+                pc[(i + 3) * n + j] = static_cast<float>(s3);
+            }
+            for (; i < m; ++i) {
+                const float *arow = pa + i * k;
+                double s = 0.0;
+                for (int64_t p = 0; p < k; ++p)
+                    s += static_cast<double>(arow[p]) * row[p];
+                pc[i * n + j] = static_cast<float>(s);
+            }
+        }
+        g_rows_decoded.fetch_add(static_cast<uint64_t>(je - jb) * count,
+                                 std::memory_order_relaxed);
+    });
+    return c;
+}
+
 } // namespace
 
 DecodedGrid
@@ -263,7 +341,6 @@ buildDecodedGrid(const TypePtr &type)
     const int n = type->codeCount();
     g.base.resize(static_cast<size_t>(n));
     g.expo.resize(static_cast<size_t>(n));
-    g.value.resize(static_cast<size_t>(n));
     const bool use_hw = hwDecodes(*type);
     for (int c = 0; c < n; ++c) {
         const double v = type->codeValue(static_cast<uint32_t>(c));
@@ -287,7 +364,6 @@ buildDecodedGrid(const TypePtr &type)
         }
         g.base[static_cast<size_t>(c)] = base;
         g.expo[static_cast<size_t>(c)] = expo;
-        g.value[static_cast<size_t>(c)] = v;
     }
 
     // Integer-datapath normalization: fold every pair onto the
@@ -347,65 +423,8 @@ Tensor
 packedMatmulBT(const Tensor &a, const QTensor &w)
 {
     checkPacked("packedMatmulBT", w);
-    RowDecodePlan plan(w);
-    if (a.ndim() != 2)
-        throw std::invalid_argument(
-            "packedMatmulBT: activations must be 2-D, got " +
-            a.shape().str());
-    const int64_t m = a.dim(0), k = a.dim(1);
-    if (k != plan.chunk)
-        throw std::invalid_argument(
-            "packedMatmulBT: inner dim mismatch (" + a.shape().str() +
-            " vs packed " + w.shape().str() + ")");
-    const int64_t n = plan.rows;
-    Tensor c{Shape{m, n}};
-    g_fp_gemm_calls.fetch_add(1, std::memory_order_relaxed);
-    const float *pa = a.data();
-    float *pc = c.data();
-    // One output column (= packed row) per task: each worker decodes
-    // its row into a k-float scratch, then runs the exact matmulBT
-    // inner product (double accumulation, ascending p). Nothing larger
-    // than one row is ever dequantized. Four activation rows run
-    // interleaved — four independent accumulator chains over one pass
-    // of the decoded row — which changes the instruction-level
-    // parallelism but not any output's summation order, so the result
-    // stays bitwise identical to the single-row loop.
-    parallelFor(n, [&](int64_t jb, int64_t je) {
-        std::vector<float> row(static_cast<size_t>(k));
-        std::vector<float> lut;
-        for (int64_t j = jb; j < je; ++j) {
-            plan.decodeRowFloat(j, row.data(), lut);
-            int64_t i = 0;
-            for (; i + 4 <= m; i += 4) {
-                const float *a0 = pa + i * k;
-                const float *a1 = a0 + k;
-                const float *a2 = a1 + k;
-                const float *a3 = a2 + k;
-                double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-                for (int64_t p = 0; p < k; ++p) {
-                    const double wv = row[p];
-                    s0 += static_cast<double>(a0[p]) * wv;
-                    s1 += static_cast<double>(a1[p]) * wv;
-                    s2 += static_cast<double>(a2[p]) * wv;
-                    s3 += static_cast<double>(a3[p]) * wv;
-                }
-                pc[i * n + j] = static_cast<float>(s0);
-                pc[(i + 1) * n + j] = static_cast<float>(s1);
-                pc[(i + 2) * n + j] = static_cast<float>(s2);
-                pc[(i + 3) * n + j] = static_cast<float>(s3);
-            }
-            for (; i < m; ++i) {
-                const float *arow = pa + i * k;
-                double s = 0.0;
-                for (int64_t p = 0; p < k; ++p)
-                    s += static_cast<double>(arow[p]) * row[p];
-                pc[i * n + j] = static_cast<float>(s);
-            }
-        }
-        g_rows_decoded.fetch_add(static_cast<uint64_t>(je - jb),
-                                 std::memory_order_relaxed);
-    });
-    return c;
+    const RowDecodePlan plan(w);
+    return matmulBTSegments("packedMatmulBT", a, &plan, 1);
 }
 
 Tensor
@@ -421,77 +440,8 @@ packedMatmulBTConcatK(const Tensor &a,
         checkPacked("packedMatmulBTConcatK", p);
         plans.emplace_back(p);
     }
-    const int64_t n = plans[0].rows;
-    int64_t k = 0;
-    for (const RowDecodePlan &pl : plans) {
-        if (pl.rows != n)
-            throw std::invalid_argument(
-                "packedMatmulBTConcatK: every part must share the "
-                "output dim (got " + std::to_string(pl.rows) +
-                " vs " + std::to_string(n) + ")");
-        k += pl.chunk;
-    }
-    if (a.ndim() != 2)
-        throw std::invalid_argument(
-            "packedMatmulBTConcatK: activations must be 2-D, got " +
-            a.shape().str());
-    const int64_t m = a.dim(0);
-    if (a.dim(1) != k)
-        throw std::invalid_argument(
-            "packedMatmulBTConcatK: inner dim mismatch (" +
-            a.shape().str() + " vs parts totalling k=" +
-            std::to_string(k) + ")");
-    Tensor c{Shape{m, n}};
-    g_fp_gemm_calls.fetch_add(1, std::memory_order_relaxed);
-    const float *pa = a.data();
-    float *pc = c.data();
-    // Same task shape as packedMatmulBT — one output column per task —
-    // but the row scratch is assembled from every part's segment at
-    // its k offset before the (identical) inner product runs. The
-    // decode of each segment is bit-for-bit what the monolithic plan
-    // writes at that offset (same codes, same scale, same LUT), so the
-    // whole kernel is bitwise equal to the unsplit GEMM.
-    parallelFor(n, [&](int64_t jb, int64_t je) {
-        std::vector<float> row(static_cast<size_t>(k));
-        std::vector<float> lut;
-        for (int64_t j = jb; j < je; ++j) {
-            int64_t off = 0;
-            for (const RowDecodePlan &pl : plans) {
-                pl.decodeRowFloat(j, row.data() + off, lut);
-                off += pl.chunk;
-            }
-            int64_t i = 0;
-            for (; i + 4 <= m; i += 4) {
-                const float *a0 = pa + i * k;
-                const float *a1 = a0 + k;
-                const float *a2 = a1 + k;
-                const float *a3 = a2 + k;
-                double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-                for (int64_t p = 0; p < k; ++p) {
-                    const double wv = row[p];
-                    s0 += static_cast<double>(a0[p]) * wv;
-                    s1 += static_cast<double>(a1[p]) * wv;
-                    s2 += static_cast<double>(a2[p]) * wv;
-                    s3 += static_cast<double>(a3[p]) * wv;
-                }
-                pc[i * n + j] = static_cast<float>(s0);
-                pc[(i + 1) * n + j] = static_cast<float>(s1);
-                pc[(i + 2) * n + j] = static_cast<float>(s2);
-                pc[(i + 3) * n + j] = static_cast<float>(s3);
-            }
-            for (; i < m; ++i) {
-                const float *arow = pa + i * k;
-                double s = 0.0;
-                for (int64_t p = 0; p < k; ++p)
-                    s += static_cast<double>(arow[p]) * row[p];
-                pc[i * n + j] = static_cast<float>(s);
-            }
-        }
-        g_rows_decoded.fetch_add(
-            static_cast<uint64_t>(je - jb) * plans.size(),
-            std::memory_order_relaxed);
-    });
-    return c;
+    return matmulBTSegments("packedMatmulBTConcatK", a, plans.data(),
+                            plans.size());
 }
 
 Tensor
@@ -518,14 +468,13 @@ packedMatmul(const Tensor &a, const QTensor &w)
     // exactly (i iterations are independent).
     parallelFor(m, [&](int64_t ib, int64_t ie) {
         std::vector<float> row(static_cast<size_t>(n));
-        std::vector<float> lut;
         uint64_t decoded = 0;
         for (int64_t p = 0; p < kk; ++p) {
             bool live = false;
             for (int64_t i = ib; i < ie && !live; ++i)
                 live = pa[i * kk + p] != 0.0f;
             if (!live) continue;
-            plan.decodeRowFloat(p, row.data(), lut);
+            plan.decodeRowFloat(p, row.data());
             ++decoded;
             for (int64_t i = ib; i < ie; ++i) {
                 const float av = pa[i * kk + p];
@@ -545,7 +494,7 @@ packedGemmInt(const QTensor &a, const QTensor &b)
 {
     checkPacked("packedGemmInt", a);
     checkPacked("packedGemmInt", b);
-    RowDecodePlan pa(a), pb(b);
+    IntDecodePlan pa(a), pb(b);
     pa.requireIntDomain("packedGemmInt");
     pb.requireIntDomain("packedGemmInt");
     if (pa.chunk != pb.chunk)
@@ -665,9 +614,8 @@ packedWeightMse(const QTensor &q, const Tensor &ref)
     std::vector<double> errs(static_cast<size_t>(rows), 0.0);
     parallelFor(rows, [&](int64_t rb, int64_t re) {
         std::vector<float> row(static_cast<size_t>(chunk));
-        std::vector<float> lut;
         for (int64_t r = rb; r < re; ++r) {
-            plan.decodeRowFloat(r, row.data(), lut);
+            plan.decodeRowFloat(r, row.data());
             const float *pr = ref.data() + r * chunk;
             double e = 0.0;
             for (int64_t p = 0; p < chunk; ++p) {

@@ -8,15 +8,15 @@
  * Two datapaths, mirroring the paper's two TypeFusion PE families:
  *
  *  - **Serving GEMM** (`packedMatmulBT` / `packedMatmul`): the
- *    float-multiplier path of Fig. 5. Codes are decoded through a
- *    per-group 2^bits-entry LUT of `float(codeValue * scale)` — the
- *    exact expression `QuantKernel::unpackBatch` writes — and
- *    multiply-accumulated in the same order and precision as
- *    `ops::matmulBT` / `ops::matmul`. The result is therefore **bitwise
- *    identical** to unpack-then-sgemm (pinned by
- *    tests/test_packed_gemm.cpp) while only ever holding one decoded
- *    weight row in cache. This is the default path behind
- *    `nn::QuantState` when a packed payload is present.
+ *    float-multiplier path of Fig. 5. Each weight row is decoded by
+ *    `QuantKernel::unpackBatch`, one call per constant-scale segment —
+ *    the same decode `QTensor::unpack` runs — and multiply-accumulated
+ *    in the same order and precision as `ops::matmulBT` /
+ *    `ops::matmul`. The result is therefore **bitwise identical** to
+ *    unpack-then-sgemm (pinned by tests/test_packed_gemm.cpp) while
+ *    only ever holding one decoded weight row in cache. This is the
+ *    default path behind `nn::QuantState` when a packed payload is
+ *    present.
  *
  *  - **Integer GEMM** (`packedGemmInt`): the int-multiplier path of
  *    Fig. 6. Both operands are packed code streams; every code decodes
@@ -29,8 +29,9 @@
  *    count and bitwise-pinned against a scalar model of the same
  *    dataflow.
  *
- * The decoder front-end is `DecodedGrid`: one batch-decode table per
- * registered type, cached process-wide like compiled QuantKernels.
+ * The integer datapath's decoder front-end is `DecodedGrid`: one
+ * batch-decode table per registered type, cached process-wide like
+ * compiled QuantKernels. The float GEMMs do not use it.
  */
 
 #ifndef ANT_CORE_PACKED_GEMM_H
@@ -46,8 +47,9 @@
 namespace ant {
 
 /**
- * Batch-decode table of one NumericType: every code as an exact
- * `(base, exponent)` pair with `codeValue(c) == base[c] * 2^expo[c]`.
+ * Integer-datapath decode table of one NumericType: every code as an
+ * exact `(base, exponent)` pair with
+ * `codeValue(c) == base[c] * 2^expo[c]`.
  *
  * For Int/PoT/Flint kinds the pairs come straight from the gate-level
  * decoder model (`hw::decodeIntOperand`) — the software GEMM and the
@@ -65,7 +67,6 @@ struct DecodedGrid
     TypePtr type;
     std::vector<int32_t> base; //!< signed base integer per code
     std::vector<int16_t> expo; //!< power-of-two exponent per code
-    std::vector<double> value; //!< codeValue(c), == ldexp(base, expo)
 
     bool intDomain = false;      //!< grid fits the int64 datapath
     int normExp = 0;             //!< common exponent of intVal
@@ -80,8 +81,8 @@ DecodedGrid buildDecodedGrid(const TypePtr &type);
 
 /**
  * Process-wide decode-table cache keyed by canonical spec, the
- * decoder-side analogue of cachedKernel(): hot GEMM paths never
- * rebuild tables.
+ * decoder-side analogue of cachedKernel(): the integer GEMM never
+ * rebuilds tables.
  */
 DecodedGridPtr cachedDecodedGrid(const TypePtr &type);
 
@@ -100,11 +101,12 @@ Tensor packedMatmulBT(const Tensor &a, const QTensor &w);
 /**
  * Serving GEMM over a k-wise split weight: C = A @ concat_k(parts)^T
  * for float A:[m, sum k_p] against row-parallel shards parts[p]:[n,k_p]
- * (core/tp_split.h), decoding each shard's row segment into its slice
- * of ONE k-wide row buffer and then running the exact packedMatmulBT
- * inner product. Because per-group splits cut at scale-segment
- * boundaries, each shard decodes the identical floats the monolithic
- * row held at that offset — so the result is **bitwise identical** to
+ * (core/tp_split.h). It is the same kernel as packedMatmulBT, with
+ * one k segment per part: each shard's row segment decodes into its
+ * slice of ONE k-wide row buffer before the inner product runs.
+ * Because per-group splits cut at scale-segment boundaries, each
+ * shard decodes the identical floats the monolithic row held at that
+ * offset — so the result is **bitwise identical** to
  * `packedMatmulBT(a, w)` of the unsplit weight, realizing the TP
  * all-reduce sum in the monolithic summation order instead of adding
  * independently rounded partials (which float non-associativity could

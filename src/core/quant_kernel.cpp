@@ -435,7 +435,9 @@ QuantKernel::encodeBatchScalar(const float *in, uint32_t *out, int64_t n,
     for (int64_t i = 0; i < n; ++i) {
         const double x = in[i] * inv;
         size_t idx;
-        if (x <= lo_) {
+        // NaN (a NaN input, or inf * 0 at a degenerate scale) takes the
+        // low clamp, as the uniform-int encode's max/min sequence does.
+        if (!(x > lo_)) {
             idx = 0;
         } else if (x >= hi_) {
             idx = grid_.size() - 1;

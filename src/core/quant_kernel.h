@@ -56,11 +56,12 @@ class QuantKernel
     /**
      * Bit-exact scalar analogue of NumericType::quantizeValue: clamp to
      * the grid, round to nearest (same tie rule), no virtual dispatch.
+     * NaN clamps low.
      */
     double
     quantizeValue(double x) const
     {
-        if (x <= lo_) return lo_;
+        if (!(x > lo_)) return lo_;
         if (x >= hi_) return hi_;
         const double *g = grid_.data();
         const size_t first = lowerBound(g, x);

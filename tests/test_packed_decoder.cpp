@@ -95,7 +95,6 @@ TEST(PackedDecoder, EveryCodeRoundTripsExactly)
                           grid.expo[ci]),
                       v)
                 << "code " << c;
-            EXPECT_EQ(grid.value[ci], v) << "code " << c;
             // decode -> re-encode lands on the same grid point, and on
             // the same code when the value is unique.
             const uint32_t re = type->encodeNearest(v);
@@ -149,7 +148,7 @@ TEST(PackedDecoder, IntDomainNormalizationIsExact)
             EXPECT_EQ(std::ldexp(
                           static_cast<double>(grid.intVal[ci]),
                           grid.normExp),
-                      grid.value[ci])
+                      type->codeValue(static_cast<uint32_t>(c)))
                 << "code " << c;
             max_abs = std::max(max_abs, std::abs(grid.intVal[ci]));
         }

@@ -84,9 +84,11 @@ struct Layout
 
 TEST(PackedGemm, ServingGemmMatchesUnpackThenSgemmBitwise)
 {
-    // The ISSUE matrix: every type x layout x a shape sweep whose K is
-    // sometimes ragged against the group size and whose bit stream
-    // straddles word boundaries.
+    // Every type x layout x a shape sweep whose K is sometimes ragged
+    // against the group size and whose bit stream straddles word
+    // boundaries. The widths (2..8, odd and even) and the 3-element
+    // groups reach every QuantKernel::unpackBatch tier: scalar
+    // fallback, 8- and 32-entry permute, gather and fused int4.
     Rng rng(90);
     Rng shape_rng(91);
     const Layout layouts[] = {
@@ -95,9 +97,11 @@ TEST(PackedGemm, ServingGemmMatchesUnpackThenSgemmBitwise)
         {"per-group-64", Granularity::PerGroup, 64},
         {"per-group-128", Granularity::PerGroup, 128},
         {"per-group-ragged", Granularity::PerGroup, 48},
+        {"per-group-3", Granularity::PerGroup, 3},
     };
-    for (const char *spec :
-         {"int4", "flint4", "pot4u", "float_e4m3", "flint2u"}) {
+    for (const char *spec : {"int4", "flint4", "pot4u", "float_e4m3",
+                             "flint2u", "int3", "flint5", "int6",
+                             "int8"}) {
         const TypePtr type = parseType(spec);
         for (const Layout &lay : layouts) {
             const int64_t m = shape_rng.randint(1, 6);
@@ -205,15 +209,18 @@ TEST(PackedGemm, BackwardMatmulMatchesWithZeroSkip)
     const Tensor w = rng.tensor(Shape{n, k}, DistFamily::WeightLike);
     Tensor g = rng.tensor(Shape{m, n}, DistFamily::Gaussian);
     for (int64_t i = 0; i < g.numel(); i += 3) g[i] = 0.0f;
-    for (const char *spec : {"int4", "flint4", "float_e4m3"}) {
-        SCOPED_TRACE(spec);
-        const TypePtr type = parseType(spec);
-        const QTensor q = QTensor::pack(
-            w, type, Granularity::PerGroup,
-            layoutScales(w, type, Granularity::PerGroup, 37), 37);
-        expectBitwiseEqual(packedMatmul(g, q),
-                           ops::matmul(g, q.unpack()), "matmul");
-    }
+    for (const char *spec : {"int4", "flint4", "float_e4m3", "int3",
+                             "flint5", "int6", "int8"})
+        for (const int64_t gs : {37, 3}) {
+            SCOPED_TRACE(std::string(spec) + " gs=" +
+                         std::to_string(gs));
+            const TypePtr type = parseType(spec);
+            const QTensor q = QTensor::pack(
+                w, type, Granularity::PerGroup,
+                layoutScales(w, type, Granularity::PerGroup, gs), gs);
+            expectBitwiseEqual(packedMatmul(g, q),
+                               ops::matmul(g, q.unpack()), "matmul");
+        }
 }
 
 TEST(PackedGemm, ResultsAreThreadCountInvariant)

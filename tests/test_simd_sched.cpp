@@ -167,6 +167,32 @@ TEST(SimdParity, EncodeBatchMatchesScalarOracle)
     }
 }
 
+TEST(SimdParity, NanClampsLowOnEveryPath)
+{
+    // NaN reaches the grid search as a NaN input or as inf * 0 at a
+    // degenerate scale; every path must clamp it to the grid minimum
+    // instead of searching (and reading before) the grid.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> in = {nan, -nan, inf, -inf};
+    const int64_t n = static_cast<int64_t>(in.size());
+    for (const TypePtr &type : specMatrix()) {
+        const QuantKernel kernel(*type);
+        EXPECT_EQ(kernel.quantizeValue(nan), type->minValue())
+            << type->spec();
+        EXPECT_EQ(type->quantizeValue(nan), type->minValue())
+            << type->spec();
+        for (double scale : kScales) {
+            std::vector<uint32_t> got(in.size()), want(in.size());
+            kernel.encodeBatch(in.data(), got.data(), n, scale);
+            kernel.encodeBatchScalar(in.data(), want.data(), n, scale);
+            EXPECT_EQ(got, want) << type->spec() << " scale=" << scale;
+            EXPECT_EQ(type->codeValue(want[0]), type->minValue())
+                << type->spec() << " scale=" << scale;
+        }
+    }
+}
+
 TEST(SimdParity, PackAndUnpackMatchScalarOracleAtEveryOffset)
 {
     for (const TypePtr &type : specMatrix()) {
