@@ -66,6 +66,11 @@ Observer::observe(const float *x, int64_t n)
 {
     for (int64_t i = 0; i < n; ++i) {
         const double raw = static_cast<double>(x[i]);
+        ++n_;
+        // NaN and +-inf are counted but never binned: they have no
+        // octave, and no finite scale would cover them anyway.
+        if (!(std::fabs(raw) <= std::numeric_limits<double>::max()))
+            continue;
         double v;
         if (cfg_.isSigned) {
             v = std::fabs(raw);
@@ -73,12 +78,10 @@ Observer::observe(const float *x, int64_t n)
             // Unsigned grids clamp negatives to zero: error raw^2 at
             // every scale — scale-independent, so tracked separately.
             constErr_ += raw * raw;
-            ++n_;
             continue;
         } else {
             v = raw;
         }
-        ++n_;
         if (v == 0.0) continue; // zero quantizes to zero at any scale
         amax_ = std::max(amax_, v);
         const size_t b = binOf(v);

@@ -8,7 +8,7 @@
  * concatenated calibration tensor is ever materialized, so a server can
  * calibrate from a rolling traffic sample in O(bins) memory.
  * GroupObserver keeps one Observer per feature group; the KV cache
- * (kv_cache.h) keeps one Observer for its open time group.
+ * (kv_cache.h) sketches each time group once, when it closes.
  *
  * Unlike MagnitudeHistogram (quant_kernel.h), whose linear binning is
  * relative to one tensor's absmax, the observer bins log-domain:
@@ -82,13 +82,16 @@ class Observer
 
     const ObserverConfig &config() const { return cfg_; }
 
-    /** Accumulate a flat range into the sketch. */
+    /** Accumulate a flat range into the sketch. A non-finite value
+     *  (NaN, +-inf) counts in count() but adds to no bin and never
+     *  raises absMax(). */
     void observe(const float *x, int64_t n);
 
     /** Accumulate a whole tensor. */
     void observe(const Tensor &t);
 
-    /** Total elements observed (including zeros and clamped values). */
+    /** Total elements observed (including zeros, clamped and
+     *  non-finite values). */
     int64_t count() const { return n_; }
 
     /** Largest magnitude observed so far (exact, not binned). */

@@ -1,9 +1,12 @@
 #include "core/kv_cache.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "core/calibrator.h"
 #include "core/type_registry.h"
 
 namespace ant {
@@ -50,8 +53,7 @@ KVCacheTensor::KVCacheTensor(int64_t feature_dim, KVCacheConfig cfg)
     : cfg_(validatedConfig(std::move(cfg))),
       kernel_(cachedKernel(cfg_.type)),
       searchCfg_(cfg_.searchConfig()),
-      d_(feature_dim),
-      open_(ObserverConfig{cfg_.type->isSigned()})
+      d_(feature_dim)
 {
     if (d_ < 1)
         throw std::invalid_argument(
@@ -74,29 +76,50 @@ KVCacheTensor::ensureOwnedWords(int64_t nwords)
 }
 
 void
-KVCacheTensor::repackTail(int64_t g)
+KVCacheTensor::encodeTail(int64_t g, int64_t from)
 {
     const int bits = cfg_.type->bits();
-    const int64_t gs = cfg_.groupSize;
-    const int64_t bit0 = g * gs * d_ * bits;
+    const int64_t bit0 = from * d_ * bits;
     const int64_t need = QTensor::wordCount(t_ * d_, bits);
     ensureOwnedWords(need);
     std::vector<uint64_t> &w = *words_;
-    // Zero the tail group's bit range [bit0, end of stream): the
-    // boundary word may carry frozen bits of the previous group below
-    // bit offset off0, which must survive; everything above is the
-    // tail's and gets re-encoded. Words past the stream end are
-    // already zero.
+    // Zero the bit range [bit0, end of stream): the boundary word may
+    // carry frozen bits of earlier rows below bit offset off0, which
+    // must survive; everything above gets (re-)encoded. Words past the
+    // stream end are already zero.
     const int64_t w0 = bit0 / 64;
     const int off0 = static_cast<int>(bit0 % 64);
     w[static_cast<size_t>(w0)] &=
         off0 ? ((uint64_t{1} << off0) - 1) : uint64_t{0};
     for (int64_t i = w0 + 1; i < need; ++i)
         w[static_cast<size_t>(i)] = 0;
-    kernel_->packBatch(tail_.data(),
-                       static_cast<int64_t>(tail_.size()), scales_[g],
-                       w.data(), bit0);
-    repacked_ += static_cast<int64_t>(tail_.size()) / d_;
+    const int64_t skip = (from - g * cfg_.groupSize) * d_;
+    kernel_->packBatch(tail_.data() + skip,
+                       static_cast<int64_t>(tail_.size()) - skip,
+                       scales_[static_cast<size_t>(g)], w.data(), bit0);
+    repacked_ += static_cast<uint64_t>(t_ - from);
+}
+
+double
+KVCacheTensor::absMaxOf(const float *x, int64_t n) const
+{
+    // Observer::observe's rule: unsigned grids clamp negatives to zero
+    // (they never raise the max), non-finite values are skipped.
+    const bool is_signed = cfg_.type->isSigned();
+    float m = 0.0f;
+    for (int64_t i = 0; i < n; ++i) {
+        const float v = is_signed ? std::fabs(x[i]) : x[i];
+        if (v > m && v <= std::numeric_limits<float>::max()) m = v;
+    }
+    return static_cast<double>(m);
+}
+
+double
+KVCacheTensor::closedScale(const float *x, int64_t n) const
+{
+    Observer obs(ObserverConfig{cfg_.type->isSigned()});
+    obs.observe(x, n);
+    return obs.searchScale(*kernel_, searchCfg_);
 }
 
 void
@@ -113,31 +136,39 @@ KVCacheTensor::append(const Tensor &rows)
     const float *src = rows.data();
     const int64_t gs = cfg_.groupSize;
     // Process the batch one group-run at a time. Within one run only
-    // the final scale survives (each arrival would overwrite the
-    // previous repack), so folding the run's rows together and
-    // re-encoding once is bitwise identical to appending the rows one
-    // at a time — the batch-parity contract.
+    // the final scale survives, so encoding the run's rows once at it
+    // is bitwise identical to appending the rows one at a time — the
+    // batch-parity contract.
     int64_t done = 0;
     while (done < n) {
         const int64_t g = t_ / gs;
         const int64_t take = std::min(n - done, gs - (t_ - g * gs));
         const float *run = src + done * d_;
-        open_.observe(run, take * d_);
         tail_.insert(tail_.end(), run, run + take * d_);
+        tailMax_ = std::max(tailMax_, absMaxOf(run, take * d_));
+        const int64_t t0 = t_;
         t_ += take;
         if (static_cast<int64_t>(scales_.size()) <= g)
             scales_.resize(static_cast<size_t>(g) + 1, 0.0);
-        // The group's scale is re-searched over exactly the rows seen
-        // so far — the same query packFull issues once the group is
-        // complete, so a closed group's scale is final and bit-equal
-        // to the offline pick.
-        scales_[static_cast<size_t>(g)] =
-            open_.searchScale(*kernel_, searchCfg_);
-        repackTail(g);
-        if (t_ % gs == 0) {
+        // An open group carries the MaxCalib pick of its rows so far; a
+        // closing one gets the configured search over all its rows —
+        // the query packFull issues, so closed scales are final and
+        // bit-equal to the offline pick.
+        const bool closes = t_ % gs == 0;
+        const double scale =
+            closes ? closedScale(tail_.data(),
+                                 static_cast<int64_t>(tail_.size()))
+                   : tailMax_ / kernel_->maxValue();
+        // A moved scale re-encodes the whole open group; otherwise its
+        // earlier codes stay valid and only the new rows are encoded.
+        double &cur = scales_[static_cast<size_t>(g)];
+        const int64_t from = scale != cur ? g * gs : t0;
+        cur = scale;
+        encodeTail(g, from);
+        if (closes) {
             // The group closed: its scale is final, its codes frozen.
             tail_.clear();
-            open_.reset();
+            tailMax_ = 0.0;
         }
         done += take;
     }
@@ -197,17 +228,18 @@ KVCacheTensor::packFull(const Tensor &kv, KVCacheConfig cfg)
     KVCacheTensor c(d, std::move(cfg));
     const int64_t gs = c.cfg_.groupSize;
 
-    // Offline calibration: a one-shot observer pass and scale search
-    // per group — the reference the streaming path is pinned against.
-    // The last pass leaves the open observer holding the ragged tail's
-    // sketch, so appends after a prefill continue where streaming
-    // would.
+    // Offline calibration, per group: the closing search for every
+    // complete group and the MaxCalib pick for a ragged tail — the
+    // scales streaming ends on, so appends after a prefill continue
+    // where streaming would.
     for (int64_t r0 = 0; r0 < T; r0 += gs) {
-        c.open_.reset();
-        c.open_.observe(kv.data() + r0 * d, std::min(gs, T - r0) * d);
-        c.scales_.push_back(c.open_.searchScale(*c.kernel_, c.searchCfg_));
+        const float *x = kv.data() + r0 * d;
+        const int64_t rows = std::min(gs, T - r0);
+        c.scales_.push_back(rows == gs
+                                ? c.closedScale(x, rows * d)
+                                : c.absMaxOf(x, rows * d) /
+                                      c.kernel_->maxValue());
     }
-    if (T % gs == 0) c.open_.reset();
 
     // One-shot pack through QTensor's parallel word-window path (a
     // genuinely different encoder than append's packBatch, which is
@@ -224,11 +256,12 @@ KVCacheTensor::packFull(const Tensor &kv, KVCacheConfig cfg)
                                                        span.end());
     c.t_ = T;
 
-    // Rebuild the open group's float rows too.
+    // Rebuild the open group's float rows and absmax too.
     const int64_t tail_rows = T % gs;
     if (tail_rows > 0) {
         const float *first = kv.data() + (T - tail_rows) * d;
         c.tail_.assign(first, first + tail_rows * d);
+        c.tailMax_ = c.absMaxOf(first, tail_rows * d);
     }
     return c;
 }

@@ -7,24 +7,32 @@
  * group axis is *time*: KVCacheTensor keeps one scale per group of
  * `groupSize` consecutive timesteps and stores the codes in QTensor's
  * word-packed layout for a [T, d] row-major tensor. Appending a row
- * extends the bit stream in place; only the current *open* (ragged
- * tail) group is ever re-encoded (its scale tightens as its rows
- * arrive, so its codes are re-packed against the refreshed scale),
- * closed groups are frozen bits plus a final scale. The open group's
- * float rows and one Observer sketch of them are the only calibration
- * state retained — O(groupSize * d + bins), independent of sequence
- * length; the sketch is reset the moment its group closes.
+ * extends the bit stream in place; closed groups are frozen bits plus
+ * a final scale, and only the *open* (ragged tail) group is ever
+ * re-encoded:
+ *
+ *  - while the group is open its scale is the MaxCalib pick of its
+ *    rows so far (absmax / the type's largest value, exactly what
+ *    Observer::searchScale returns under ScaleMode::MaxCalib). A new
+ *    row is encoded once at that scale; the tail is re-encoded only
+ *    when the row raises the absmax;
+ *  - when the group's last row arrives, the configured search
+ *    (KVCacheConfig::scaleMode) runs once over the retained tail
+ *    floats, and the group is re-encoded once if that scale differs.
+ *
+ * The open group's float rows and their running absmax are the only
+ * calibration state retained — O(groupSize * d), independent of
+ * sequence length; no sketch outlives the close that needs it.
  *
  * The central contract is streaming/offline parity, pinned by
  * tests/test_kv_cache.cpp: after appending any prefix of a sequence
  * row by row (in any batch sizes), the cache's packed words and group
  * scales are *bitwise identical* to packFull() of the concatenated
  * prefix — which itself packs through the independent one-shot path
- * (one Observer pass per group + QTensor::pack). Calibration inherits
- * Observer's order-exactness; codes agree because closed groups'
- * scales are final the moment their last row arrives, and the tail is
- * always re-encoded against the scale packFull would pick for the same
- * rows.
+ * (the same per-group scale rules + QTensor::pack). Closed groups
+ * agree because both sides run the same search over the same rows;
+ * the open tail agrees because the absmax is order-independent and
+ * the tail's codes always sit at its current scale.
  *
  * packed() exposes the cache as a zero-copy QTensor *view* in the
  * PerChannel layout (row t carries its group's scale), so the packed
@@ -41,7 +49,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/calibrator.h"
 #include "core/qtensor.h"
 #include "core/quantizer.h"
 #include "core/type_registry.h"
@@ -57,9 +64,10 @@ struct KVCacheConfig
     /** Timesteps per scale group (the M-ANT sweep's g; 128 default). */
     int64_t groupSize = 128;
 
-    /** How each group's scale is derived from its streaming sketch.
-     *  MseSearch replays the observer's candidate sweep; MaxCalib uses
-     *  the exact absmax. */
+    /** How a closed group's scale is searched from its rows (an
+     *  Observer sketch built once, at close). MseSearch replays the
+     *  observer's candidate sweep; MaxCalib uses the exact absmax. The
+     *  open group always uses the MaxCalib pick. */
     ScaleMode scaleMode = ScaleMode::MseSearch;
     int searchSteps = 40;   //!< clip-ratio grid points for MseSearch
     double searchLo = 0.30; //!< smallest clip ratio explored
@@ -70,16 +78,15 @@ struct KVCacheConfig
      *  QuantConfig::validate. */
     void validate() const;
 
-    /** The scale-search view of this config: what each group sketch's
-     *  searchScale query runs with. */
+    /** The scale-search view of this config: what each closing
+     *  group's searchScale query runs with. */
     QuantConfig searchConfig() const;
 };
 
 class KVCacheTensor
 {
   public:
-    /** Empty cache for rows of width @p feature_dim. Validates @p cfg;
-     *  the open group's sketch takes the type's signedness. */
+    /** Empty cache for rows of width @p feature_dim. Validates @p cfg. */
     KVCacheTensor(int64_t feature_dim, KVCacheConfig cfg);
 
     const KVCacheConfig &config() const { return cfg_; }
@@ -99,16 +106,19 @@ class KVCacheTensor
 
     /** One scale per time group; entry g covers rows [g * groupSize,
      *  (g+1) * groupSize). The last entry is live until its group
-     *  closes — it tightens as the group's remaining rows arrive. */
+     *  closes: the MaxCalib pick of the rows so far, replaced by the
+     *  configured search when the group's last row arrives. */
     const std::vector<double> &scales() const { return scales_; }
 
     /**
      * Fold rows into the cache: @p rows is one [d] row or a [R, d]
-     * batch (leading dimensions flattened into timestep rows). Each
-     * row is observed into the open group's sketch, the group's scale
-     * is re-searched from it, and the open group is re-encoded against
-     * the new scale; closed groups are never touched. Appending a batch is
-     * bitwise identical to appending its rows one at a time.
+     * batch (leading dimensions flattened into timestep rows). New rows
+     * are encoded at the open group's scale; the open group is
+     * re-encoded only when its scale moves (its absmax grows, or the
+     * closing search picks another scale). Closed groups are never
+     * touched. Non-finite values never raise the absmax (NaN codes as
+     * the grid's low clamp). Appending a batch is bitwise identical to
+     * appending its rows one at a time.
      */
     void append(const Tensor &rows);
 
@@ -132,9 +142,10 @@ class KVCacheTensor
      *  floats are working state, not storage). */
     size_t nbytes() const;
 
-    /** Cumulative rows re-encoded by tail re-packs — the write
-     *  amplification of streaming (a row in a group of g is re-encoded
-     *  once per later arrival in its group, ~g/2 times on average). */
+    /** Cumulative rows encoded by append(): every row once, plus the
+     *  open group's rows again each time its scale moves (an absmax
+     *  rise, or a closing search that differs from the MaxCalib pick).
+     *  The write amplification of streaming; packFull counts none. */
     uint64_t repackedRows() const { return repacked_; }
 
     /**
@@ -148,11 +159,12 @@ class KVCacheTensor
 
     /**
      * The offline oracle: calibrate and pack the whole [T, d] tensor
-     * in one shot — one Observer pass and scale search per group,
-     * QTensor::pack of the codes. The result is a fully functional
-     * cache (its open group's floats and sketch are rebuilt from
-     * @p kv), so decode can keep appending after a prefill. Streaming
-     * parity with append() is the class contract.
+     * in one shot — the closing search for every complete group, the
+     * MaxCalib pick for a ragged tail, QTensor::pack of the codes. The
+     * result is a fully functional cache (its open group's floats and
+     * absmax are rebuilt from @p kv), so decode can keep appending
+     * after a prefill. Streaming parity with append() is the class
+     * contract.
      */
     static KVCacheTensor packFull(const Tensor &kv, KVCacheConfig cfg);
 
@@ -161,15 +173,25 @@ class KVCacheTensor
      *  packed() views) and zero-extended to @p nwords words. */
     void ensureOwnedWords(int64_t nwords);
 
-    /** Re-encode the tail group's rows against scales_[g]. */
-    void repackTail(int64_t g);
+    /** Encode the open group @p g's rows [from, timesteps) against
+     *  scales_[g], over whatever bits they held. */
+    void encodeTail(int64_t g, int64_t from);
+
+    /** Largest magnitude of @p x under the type's convention (|x|
+     *  signed, positive x unsigned), skipping non-finite values — the
+     *  absMax() an Observer of the same values reports. */
+    double absMaxOf(const float *x, int64_t n) const;
+
+    /** The configured search over a complete group's rows, through a
+     *  sketch that lives only for this call. */
+    double closedScale(const float *x, int64_t n) const;
 
     KVCacheConfig cfg_;
     KernelPtr kernel_;
     QuantConfig searchCfg_;
     int64_t d_ = 0;
     int64_t t_ = 0;
-    Observer open_; //!< sketch of the open group's rows
+    double tailMax_ = 0.0; //!< absMaxOf the open group's rows
     std::vector<double> scales_;
     std::vector<float> tail_; //!< float rows of the open ragged group
     std::shared_ptr<std::vector<uint64_t>> words_;

@@ -122,9 +122,10 @@ planDecodeTraffic(const workloads::Workload &w, int64_t seq,
     r.dModel = widths.front();
     r.kvBlocks = static_cast<int64_t>(widths.size());
 
-    // The streaming re-pack works out of on-chip SRAM: the open tail
-    // group's float rows must fit the accelerator's buffer, or the
-    // spec is not servable on this design.
+    // The open tail group's encodes work out of on-chip SRAM (once
+    // per row, again when its absmax grows, once more at close): its
+    // float rows must fit the accelerator's buffer, or the spec is not
+    // servable on this design.
     const double tail_bytes =
         static_cast<double>(spec.groupSize) * r.dModel * sizeof(float);
     if (tail_bytes > static_cast<double>(cfg.bufferBytes))
@@ -136,7 +137,7 @@ planDecodeTraffic(const workloads::Workload &w, int64_t seq,
 
     // Reads: at step t both caches stream their resident footprint.
     // Writes: every cache byte once (fp16 appends rows; the packed
-    // cache spills codes at group close, tail re-packs stay in SRAM).
+    // cache spills codes at group close, tail encodes stay in SRAM).
     int64_t next_curve = 1;
     double ant_reads = 0.0, fp16_reads = 0.0;
     for (int64_t t = 1; t <= seq; ++t) {

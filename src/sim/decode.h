@@ -17,7 +17,8 @@
  *    packed cache keeps its open tail group resident in the
  *    accelerator's SRAM buffer — it fits by construction, checked
  *    against SimConfig::bufferBytes — and spills a group's codes at
- *    group close, so streaming re-packs never hit DRAM).
+ *    group close, so the tail's encodes never hit DRAM: once per row,
+ *    again when its absmax grows, once more at close).
  *
  * The quality side of the trade is measured, not asserted: MSE of the
  * packed cache built by KVCacheTensor::packFull over a

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/calibrator.h"
 #include "core/type_registry.h"
@@ -190,6 +192,45 @@ TEST(Observer, EmptyAndZeroInputsAreSafe)
         obs.selectType(signedCandidates(), cfg);
     ASSERT_NE(sel.type, nullptr);
     EXPECT_DOUBLE_EQ(sel.scale, 0.0);
+}
+
+TEST(Observer, NonFiniteValuesAreCountedButNeverBinned)
+{
+    // NaN and +-inf mixed into finite data: counted, but the sketch,
+    // absMax and every scale query see only the finite values.
+    Rng rng(68);
+    const Tensor finite = rng.tensor(Shape{2048}, DistFamily::Laplace);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> mixed;
+    for (int64_t i = 0; i < finite.numel(); ++i) {
+        if (i % 97 == 0) mixed.push_back(nan);
+        if (i % 131 == 0) mixed.push_back(inf);
+        if (i % 173 == 0) mixed.push_back(-inf);
+        mixed.push_back(finite[i]);
+    }
+    const int64_t extra =
+        static_cast<int64_t>(mixed.size()) - finite.numel();
+    ASSERT_GT(extra, 0);
+
+    for (bool is_signed : {true, false}) {
+        SCOPED_TRACE(is_signed ? "signed" : "unsigned");
+        Observer clean(ObserverConfig{is_signed});
+        clean.observe(finite);
+        Observer dirty(ObserverConfig{is_signed});
+        dirty.observe(mixed.data(), static_cast<int64_t>(mixed.size()));
+
+        EXPECT_EQ(dirty.count(), clean.count() + extra);
+        EXPECT_EQ(dirty.absMax(), clean.absMax());
+        const TypePtr t = parseType(is_signed ? "int4" : "pot4u");
+        for (ScaleMode mode : {ScaleMode::MseSearch, ScaleMode::MaxCalib,
+                               ScaleMode::PowerOfTwo}) {
+            QuantConfig cfg;
+            cfg.scaleMode = mode;
+            EXPECT_EQ(dirty.searchScale(*t, cfg),
+                      clean.searchScale(*t, cfg));
+        }
+    }
 }
 
 TEST(Observer, ResetForgetsEverything)

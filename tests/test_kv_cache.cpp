@@ -10,22 +10,27 @@
  * x thread counts {1, 8} x schedules {Static, Stealing}. "Bitwise"
  * means packed payload words, group scales (exact doubles), and nbytes
  * all agree. The two sides run genuinely different code: append()
- * folds rows into the open group's sketch and encodes serially through
- * QuantKernel::packBatch, while packFull() calibrates each group in one
- * pass and packs through QTensor::pack's parallel word-window path.
+ * tracks the open group's absmax row by row and encodes serially
+ * through QuantKernel::packBatch, while packFull() calibrates each
+ * group in one pass and packs through QTensor::pack's parallel
+ * word-window path.
  *
  * Also pinned: prefill-then-append == pure streaming on both sides of a
- * group boundary (packFull re-seeds the open group's sketch), copy-on-
- * write snapshot immutability, the analytic footprint twin, and the
- * validation error paths.
+ * group boundary (packFull re-seeds the open group's floats and
+ * absmax), the open group's MaxCalib scale, the encode count, parity
+ * under NaN/inf rows, copy-on-write snapshot immutability, the
+ * analytic footprint twin, and the validation error paths.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "core/calibrator.h"
 #include "core/kv_cache.h"
 #include "core/type_registry.h"
 #include "tensor/parallel.h"
@@ -192,7 +197,7 @@ TEST(KVCacheTest, PackFullPrefixThenAppendMatchesStreaming)
 
     // Prefixes that leave a ragged open group (1, 100) and that close
     // on a group boundary (64, 128): packFull must rebuild the open
-    // group's floats and sketch — or leave them empty — exactly as
+    // group's floats and absmax — or leave them empty — exactly as
     // streaming the prefix would.
     for (int64_t prefix : {1, 64, 100, 128}) {
         SCOPED_TRACE("prefix " + std::to_string(prefix));
@@ -209,7 +214,7 @@ TEST(KVCacheTest, PackFullPrefixThenAppendMatchesStreaming)
 
 // ---------------------------------------------------------------------------
 // Copy-on-write: an outstanding packed() snapshot is immutable under
-// further appends (the tail re-pack clones the payload words).
+// further appends (the next encode clones the payload words).
 // ---------------------------------------------------------------------------
 
 TEST(KVCacheTest, SnapshotsAreImmutableUnderAppend)
@@ -295,22 +300,138 @@ TEST(KVCacheTest, FootprintBytesMatchesRealCache)
     }
 }
 
-TEST(KVCacheTest, RepackedRowsTracksWriteAmplification)
+TEST(KVCacheTest, RepackedRowsCountsEveryEncode)
 {
     const int64_t T = 64, d = 8, gs = 32;
-    KVCacheTensor cache(d, makeConfig("int4", gs));
+    const KVCacheConfig cfg = makeConfig("int4", gs);
+    const double qmax = cfg.type->maxValue();
+    KVCacheTensor cache(d, cfg);
     const Tensor rows = makeRows(T, d, 0x91);
     for (int64_t i = 0; i < T; ++i)
         cache.append(rowOf(rows, i, d));
-    // Row-at-a-time: group row j is re-encoded on appends j..gs-1,
-    // i.e. each full group costs gs*(gs+1)/2 re-encoded rows.
-    EXPECT_EQ(cache.repackedRows(),
-              static_cast<uint64_t>(2 * gs * (gs + 1) / 2));
 
-    // One-shot append of a full group re-packs each row once.
-    KVCacheTensor batched(d, makeConfig("int4", gs));
+    // Row-at-a-time: an append encodes its own row, or the whole open
+    // group (j + 1 rows at in-group position j) when the group's scale
+    // moves — its absmax grew, or the closing search picked a scale
+    // other than the MaxCalib pick of the earlier rows.
+    uint64_t expected = 0;
+    for (int64_t g = 0; g < T / gs; ++g) {
+        double amax = 0.0, cur = 0.0;
+        for (int64_t j = 0; j < gs; ++j) {
+            const float *r = rows.data() + (g * gs + j) * d;
+            for (int64_t k = 0; k < d; ++k)
+                amax = std::max(amax, static_cast<double>(std::fabs(r[k])));
+            const double s = j + 1 == gs
+                                 ? cache.scales()[static_cast<size_t>(g)]
+                                 : amax / qmax;
+            expected += s != cur ? static_cast<uint64_t>(j + 1) : 1u;
+            cur = s;
+        }
+    }
+    EXPECT_EQ(cache.repackedRows(), expected);
+    EXPECT_EQ(cache.repackedRows(), 181u);
+
+    // One-shot append of whole groups encodes each row once.
+    KVCacheTensor batched(d, cfg);
     batched.append(rows);
     EXPECT_EQ(batched.repackedRows(), static_cast<uint64_t>(T));
+}
+
+TEST(KVCacheTest, StreamingWriteAmplificationIsBounded)
+{
+    // Row-at-a-time streaming on the attention-projection distribution:
+    // each row is encoded once, each closing group once more (the
+    // MseSearch pick moves its scale off the MaxCalib pick), and absmax
+    // rises re-encode ~gs rows per group on i.i.d. rows — about 3x in
+    // all, independent of gs. Re-encoding the tail on every append
+    // cost (gs + 1) / 2 per row: 32.5x at gs = 64, 64.5x at 128.
+    const int64_t T = 1024, d = 32;
+    for (const char *spec : {"int4", "pot4u"})
+        for (int64_t gs : {64, 128}) {
+            SCOPED_TRACE(std::string(spec) + " gs=" + std::to_string(gs));
+            KVCacheTensor cache(d, makeConfig(spec, gs));
+            const Tensor rows = makeRows(T, d, 0x92);
+            for (int64_t i = 0; i < T; ++i)
+                cache.append(rowOf(rows, i, d));
+            EXPECT_GE(cache.repackedRows(), static_cast<uint64_t>(T));
+            EXPECT_LE(cache.repackedRows(), static_cast<uint64_t>(4 * T));
+        }
+}
+
+TEST(KVCacheTest, OpenGroupScaleIsMaxCalibPick)
+{
+    // While a group is open its scale is exactly what a MaxCalib
+    // Observer query over its rows so far returns; once it closes, it
+    // is the configured (MseSearch) query over all of its rows.
+    const int64_t T = 80, d = 16, gs = 32;
+    for (const char *spec : {"int4", "pot4u"}) {
+        SCOPED_TRACE(spec);
+        const KVCacheConfig cfg = makeConfig(spec, gs);
+        QuantConfig maxcalib = cfg.searchConfig();
+        maxcalib.scaleMode = ScaleMode::MaxCalib;
+        Tensor rows = makeRows(T, d, 0x93);
+        // All-zero leading rows: an empty group's scale is 0.
+        std::fill(rows.data(), rows.data() + 3 * d, 0.0f);
+
+        KVCacheTensor cache(d, cfg);
+        for (int64_t i = 0; i < T; ++i) {
+            cache.append(rowOf(rows, i, d));
+            const int64_t g = i / gs;
+            Observer obs(ObserverConfig{cfg.type->isSigned()});
+            obs.observe(rows.data() + g * gs * d, (i + 1 - g * gs) * d);
+            const bool closed = (i + 1) % gs == 0;
+            const double want = obs.searchScale(
+                *cfg.type, closed ? cfg.searchConfig() : maxcalib);
+            ASSERT_EQ(cache.scales()[static_cast<size_t>(g)], want)
+                << "row " << i;
+            if (!closed) {
+                ASSERT_EQ(want, obs.absMax() / cfg.type->maxValue());
+            }
+            if (i < 3) {
+                ASSERT_EQ(want, 0.0);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite inputs: NaN and +-inf never raise a group's absmax or
+// enter its sketch, so a poisoned row neither crashes the cache nor
+// breaks streaming/offline parity.
+// ---------------------------------------------------------------------------
+
+TEST(KVCacheTest, NonFiniteRowsKeepStreamingParity)
+{
+    const int64_t T = 75, d = 16, gs = 32;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Tensor rows = makeRows(T, d, 0x94);
+    // Poison a closed group, the open tail, and the whole first row of
+    // the second group (an open group with only non-finite values).
+    for (int64_t i : {5, 40, 70}) {
+        rows.data()[i * d + 1] = nan;
+        rows.data()[i * d + 2] = inf;
+        rows.data()[i * d + 3] = -inf;
+    }
+    std::fill(rows.data() + gs * d, rows.data() + (gs + 1) * d, nan);
+
+    for (const char *spec : {"int4", "pot4u"}) {
+        SCOPED_TRACE(spec);
+        const KVCacheConfig cfg = makeConfig(spec, gs);
+        KVCacheTensor one(d, cfg);
+        for (int64_t i = 0; i < T; ++i) {
+            one.append(rowOf(rows, i, d));
+            for (double s : one.scales())
+                ASSERT_TRUE(std::isfinite(s)) << "row " << i;
+        }
+        KVCacheTensor batched(d, cfg);
+        for (int64_t i = 0; i < T; i += 5)
+            batched.append(slabOf(rows, i, std::min<int64_t>(5, T - i), d));
+
+        const KVCacheTensor oracle = KVCacheTensor::packFull(rows, cfg);
+        expectBitwiseEqual(one, oracle);
+        expectBitwiseEqual(batched, oracle);
+    }
 }
 
 // ---------------------------------------------------------------------------
